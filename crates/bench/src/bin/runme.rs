@@ -9,16 +9,11 @@
 //! cargo run --release -p bench --bin runme -- --seed 7   # replayable run
 //! cargo run --release -p bench --bin runme -- --trace            # target/trace.json
 //! cargo run --release -p bench --bin runme -- --trace my.json
-//! cargo run --release -p bench --bin runme -- --kernel bvh2
 //! cargo run --release -p bench --bin runme -- --serve 127.0.0.1:9000
 //! ```
 //!
 //! `--seed N` pins every workload generator, making the whole run
 //! byte-for-byte replayable; the default is the paper's seed 42.
-//!
-//! `--kernel {bvh2,bvh4}` pins the traversal kernel for the whole run
-//! (default `bvh4`, the wide kernel); the kernel A/B study measures
-//! both regardless, inside scoped overrides.
 //!
 //! `--trace [PATH]` additionally records the full span/launch/query
 //! timeline and exports it as a Chrome Trace Format file loadable in
@@ -71,19 +66,6 @@ fn main() {
                     trace_path = Some("target/trace.json".to_string());
                 }
             }
-            "--kernel" => {
-                i += 1;
-                let v = args.get(i).expect("--kernel takes bvh2 or bvh4");
-                let k = rtcore::Kernel::parse(v).unwrap_or_else(|| {
-                    panic!("--kernel: unknown kernel {v:?} (want bvh2 or bvh4)")
-                });
-                // Before any launch: the process-wide default is still
-                // unresolved, so this also reaches worker/reader threads.
-                assert!(
-                    rtcore::set_default_kernel(k),
-                    "--kernel must be applied before any launch runs"
-                );
-            }
             "--serve" => {
                 i += 1;
                 serve_addr = Some(
@@ -125,12 +107,11 @@ fn main() {
     });
     println!("LibRTS reproduction — artifact evaluation runner");
     println!(
-        "host: {} logical CPUs, {} executor threads (LIBRTS_THREADS), {} traversal kernel, simulated RT device (see DESIGN.md §2)\n",
+        "host: {} logical CPUs, {} executor threads (LIBRTS_THREADS), simulated RT device (see DESIGN.md §2)\n",
         std::thread::available_parallelism()
             .map(|n| n.get())
             .unwrap_or(1),
         exec::current_threads(),
-        rtcore::current_kernel().label(),
     );
 
     // ---- Stage 1: smoke verification -----------------------------------
@@ -179,7 +160,6 @@ fn main() {
         // studies at smoke scale, so CI gets a non-empty
         // BENCH_perf.json from every mode.
         perf.intersects_scaling(&cfg);
-        perf.kernel_ab_study(&cfg);
         perf.concurrency_study(&cfg);
         perf.maintenance_study(&cfg);
         perf.serving_obs_study(&cfg);
@@ -219,7 +199,6 @@ fn main() {
     perf.record("fig11", || figures::fig11(&cfg)).print();
     perf.record("fig12", || figures::fig12(&cfg)).print();
     perf.intersects_scaling(&cfg);
-    perf.kernel_ab_study(&cfg);
     perf.concurrency_study(&cfg);
     perf.maintenance_study(&cfg);
     perf.serving_obs_study(&cfg);

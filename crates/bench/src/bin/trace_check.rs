@@ -49,9 +49,6 @@
 //! - the embedded EXPLAIN record's cost-model `prediction_error` exists
 //!   and is below the blessed bound (default 1.0, i.e. within 2x of the
 //!   measured pair count; override with `--max-prediction-error`);
-//! - the `kernel_ab` section is present with both kernels measured, and
-//!   the wide kernel's best wall time beats (or ties) the binary
-//!   kernel's — the wide-BVH hot path must actually pay off;
 //! - the `maintenance` section is present, the policy-driven side ends
 //!   within the policy's quality thresholds, and its probe batches'
 //!   modeled device p99 does not exceed the unmaintained twin's by more
@@ -98,7 +95,6 @@ fn main() {
 
     check_trace(trace_path);
     check_prediction_error(perf_path, max_err);
-    check_kernel_ab(perf_path);
     check_maintenance(perf_path);
     check_scaling(perf_path);
     println!("trace_check: all checks passed");
@@ -285,42 +281,6 @@ fn num_field(block: &str, key: &str) -> Option<f64> {
     field(block, key).and_then(|v| v.trim().parse().ok())
 }
 
-fn check_kernel_ab(path: &str) {
-    let content =
-        std::fs::read_to_string(path).unwrap_or_else(|e| fail(format!("cannot read {path}: {e}")));
-    let start = content.find("\"kernel_ab\": {").unwrap_or_else(|| {
-        fail(format!(
-            "{path}: no kernel_ab section (the traversal-kernel A/B study did not run)"
-        ))
-    });
-    let block = &content[start..];
-    // The per-kernel sides are single-line objects; find each side's own
-    // wall_ns rather than the first one in the block.
-    let side_wall = |kernel: &str| -> f64 {
-        let pat = format!("\"kernel\": \"{kernel}\"");
-        let s = block
-            .find(&pat)
-            .unwrap_or_else(|| fail(format!("{path}: kernel_ab is missing the {kernel} side")));
-        block[s..]
-            .lines()
-            .next()
-            .and_then(|l| num_field(l, "wall_ns"))
-            .unwrap_or_else(|| fail(format!("{path}: kernel_ab {kernel} side has no wall_ns")))
-    };
-    let (wall2, wall4) = (side_wall("bvh2"), side_wall("bvh4"));
-    if wall4 > wall2 {
-        fail(format!(
-            "{path}: wide kernel is slower than the binary kernel \
-             (bvh4 {wall4} ns > bvh2 {wall2} ns)"
-        ));
-    }
-    println!(
-        "trace_check: {path}: kernel_ab bvh4 {wall4} ns <= bvh2 {wall2} ns \
-         ({:.2}x) OK",
-        wall2 / wall4.max(1.0)
-    );
-}
-
 fn check_maintenance(path: &str) {
     let content =
         std::fs::read_to_string(path).unwrap_or_else(|e| fail(format!("cannot read {path}: {e}")));
@@ -334,8 +294,8 @@ fn check_maintenance(path: &str) {
         .unwrap_or_else(|| fail(format!("{path}: maintenance has no max_sah_drift")));
     let max_overlap = num_field(block, "max_overlap_drift")
         .unwrap_or_else(|| fail(format!("{path}: maintenance has no max_overlap_drift")));
-    // The per-policy sides are single-line objects, same layout as the
-    // kernel_ab sides; scan each side's own line for its fields.
+    // The per-policy sides are single-line objects; scan each side's
+    // own line for its fields.
     let side_line = |policy: &str| -> &str {
         let pat = format!("\"policy\": \"{policy}\"");
         let s = block.find(&pat).unwrap_or_else(|| {

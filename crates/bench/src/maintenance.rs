@@ -51,7 +51,7 @@ pub struct MaintenanceSide {
 
 impl MaintenanceSide {
     /// Flat one-line JSON object (single line so `trace_check` can
-    /// scan it with the same line-oriented parser as `kernel_ab`).
+    /// scan each side's own line for its fields).
     pub fn to_json(&self) -> String {
         let ns = |d: Duration| d.as_nanos().min(u64::MAX as u128);
         let rounds = self

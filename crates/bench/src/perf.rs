@@ -154,68 +154,6 @@ pub struct ScalingRecord {
     pub speedup: f64,
 }
 
-/// One kernel's side of the A/B study: best-of-samples wall clock plus
-/// the node/prim counters that kernel charged during one batch.
-#[derive(Clone, Debug)]
-pub struct KernelAbSide {
-    /// Kernel label (`"bvh2"` / `"bvh4"`).
-    pub kernel: &'static str,
-    /// Best (minimum) wall-clock over the interleaved samples.
-    pub wall: Duration,
-    /// All samples, in measurement order.
-    pub wall_samples: Vec<Duration>,
-    /// Modelled device time of one batch under this kernel.
-    pub model: Duration,
-    /// Node pops this kernel charged in one batch (`rtcore.nodes_visited`
-    /// for the binary kernel, `rtcore.wide_nodes_visited` for the wide).
-    pub nodes_visited: u64,
-    /// Primitive AABB tests this kernel charged in one batch.
-    pub prim_tests: u64,
-}
-
-/// The traversal-kernel A/B study: the same Range-Intersects batch
-/// under the binary and the wide kernel, interleaved sampling, result
-/// counts asserted identical. `speedup` is `bvh2.wall / bvh4.wall` —
-/// above 1.0 the wide kernel wins on the host.
-#[derive(Clone, Debug)]
-pub struct KernelAbRecord {
-    /// Number of Range-Intersects queries in the batch.
-    pub queries: usize,
-    /// Number of indexed rectangles.
-    pub rects: usize,
-    /// Interleaved samples per kernel.
-    pub samples: usize,
-    /// Total result count (identical under both kernels).
-    pub results: u64,
-    /// Binary-kernel side.
-    pub bvh2: KernelAbSide,
-    /// Wide-kernel side.
-    pub bvh4: KernelAbSide,
-    /// `bvh2.wall / bvh4.wall`.
-    pub speedup: f64,
-}
-
-impl KernelAbSide {
-    fn to_json(&self) -> String {
-        let samples = self
-            .wall_samples
-            .iter()
-            .map(|d| ns(*d).to_string())
-            .collect::<Vec<_>>()
-            .join(", ");
-        format!(
-            "{{\"kernel\": \"{}\", \"wall_ns\": {}, \"wall_samples_ns\": [{}], \
-             \"model_ns\": {}, \"nodes_visited\": {}, \"prim_tests\": {}}}",
-            self.kernel,
-            ns(self.wall),
-            samples,
-            ns(self.model),
-            self.nodes_visited,
-            self.prim_tests,
-        )
-    }
-}
-
 /// Collector for the `BENCH_perf.json` artifact.
 #[derive(Clone, Debug)]
 pub struct PerfReport {
@@ -227,7 +165,6 @@ pub struct PerfReport {
     seed: u64,
     figures: Vec<FigureRecord>,
     scaling: Option<ScalingRecord>,
-    kernel_ab: Option<KernelAbRecord>,
     concurrency: Vec<crate::concurrency::ConcurrencyRecord>,
     maintenance: Option<crate::maintenance::MaintenanceRecord>,
     serving_obs: Option<crate::serving_obs::ServingObsRecord>,
@@ -249,7 +186,6 @@ impl PerfReport {
             seed: cfg.seed,
             figures: Vec::new(),
             scaling: None,
-            kernel_ab: None,
             concurrency: Vec::new(),
             maintenance: None,
             serving_obs: None,
@@ -322,25 +258,6 @@ impl PerfReport {
             fmt_dur(r.model),
         );
         self.scaling = Some(r);
-    }
-
-    /// Runs the traversal-kernel A/B study (binary vs wide kernel on
-    /// the Fig. 8 Range-Intersects batch), records it, and prints a
-    /// one-line summary.
-    pub fn kernel_ab_study(&mut self, cfg: &EvalConfig) {
-        let r = run_kernel_ab(cfg, SCALING_QUERIES);
-        println!(
-            "\n== Traversal kernels: Range-Intersects, {} queries over {} rects ==\n\
-             bvh2: {} ({} node pops)   bvh4: {} ({} node pops)   wide-kernel speedup {}",
-            r.queries,
-            r.rects,
-            fmt_dur(r.bvh2.wall),
-            r.bvh2.nodes_visited,
-            fmt_dur(r.bvh4.wall),
-            r.bvh4.nodes_visited,
-            fmt_x(r.speedup),
-        );
-        self.kernel_ab = Some(r);
     }
 
     /// Runs the concurrent-serving study (reader throughput vs writer
@@ -531,21 +448,6 @@ impl PerfReport {
             None => s.push_str("  \"chaos\": null,\n"),
             Some(r) => s.push_str(&format!("  \"chaos\": {},\n", r.to_json())),
         }
-        // Traversal-kernel A/B (binary vs wide on the Fig. 8 batch).
-        match &self.kernel_ab {
-            None => s.push_str("  \"kernel_ab\": null,\n"),
-            Some(r) => {
-                s.push_str("  \"kernel_ab\": {\n");
-                s.push_str(&format!("    \"queries\": {},\n", r.queries));
-                s.push_str(&format!("    \"rects\": {},\n", r.rects));
-                s.push_str(&format!("    \"samples\": {},\n", r.samples));
-                s.push_str(&format!("    \"results\": {},\n", r.results));
-                s.push_str(&format!("    \"bvh2\": {},\n", r.bvh2.to_json()));
-                s.push_str(&format!("    \"bvh4\": {},\n", r.bvh4.to_json()));
-                s.push_str(&format!("    \"speedup\": {:.4}\n", r.speedup));
-                s.push_str("  },\n");
-            }
-        }
         match &self.scaling {
             None => s.push_str("  \"scaling\": null\n"),
             Some(r) => {
@@ -675,96 +577,6 @@ pub fn run_intersects_scaling(cfg: &EvalConfig, n_queries: usize) -> ScalingReco
     }
 }
 
-/// The kernel A/B study body, parameterized over query count so tests
-/// can run a miniature version. Measurement protocol mirrors
-/// [`run_intersects_scaling`]: warm-up under both kernels (which also
-/// populates the query-GAS cache, so neither timed side pays the
-/// build), then interleaved best-of-[`SCALING_SAMPLES`] sampling with
-/// each sample in a private metrics epoch. Result counts are asserted
-/// identical across kernels — the equivalence contract the conformance
-/// tier pins, made observable in the artifact.
-pub fn run_kernel_ab(cfg: &EvalConfig, n_queries: usize) -> KernelAbRecord {
-    use rtcore::{with_kernel, Kernel};
-
-    let rects = Dataset::UsCensus.generate(cfg.scale, cfg.seed);
-    let qs = qgen::intersects_queries(&rects, n_queries, 0.001, cfg.seed + 12);
-    let index =
-        RTSIndex::with_rects(&rects, IndexOptions::default()).expect("generated data is valid");
-
-    // One timed batch under `kernel`, returning (wall, results, model,
-    // own node pops, own prim tests). Counters come from the launch
-    // report (private to this batch), not the global obs registry, so
-    // concurrently running tests can never pollute them.
-    let measure = |kernel: Kernel| {
-        with_kernel(kernel, || {
-            let h = CountingHandler::new();
-            let t0 = Instant::now();
-            let r = index.range_query(Predicate::Intersects, &qs, &h);
-            let wall = t0.elapsed();
-            let totals = &r.launch.totals;
-            let (nodes, prims) = match kernel {
-                Kernel::Bvh2 => (totals.nodes_visited, totals.prim_tests),
-                Kernel::Bvh4 => (totals.wide_nodes_visited, totals.wide_prim_tests),
-            };
-            (wall, h.count(), r.device_time(), nodes, prims)
-        })
-    };
-
-    // Warm-up under both kernels, untimed.
-    measure(Kernel::Bvh2);
-    measure(Kernel::Bvh4);
-
-    let side = |kernel: Kernel, samples: &mut Vec<Duration>| {
-        let (w, r, m, n, p) = measure(kernel);
-        samples.push(w);
-        (r, m, n, p)
-    };
-    let mut samples2 = Vec::with_capacity(SCALING_SAMPLES);
-    let mut samples4 = Vec::with_capacity(SCALING_SAMPLES);
-    let (mut stats2, mut stats4) = ((0, Duration::ZERO, 0, 0), (0, Duration::ZERO, 0, 0));
-    for sample in 0..SCALING_SAMPLES {
-        // Interleave so host drift hits both kernels symmetrically.
-        let s2 = side(Kernel::Bvh2, &mut samples2);
-        let s4 = side(Kernel::Bvh4, &mut samples4);
-        if sample == 0 {
-            (stats2, stats4) = (s2, s4);
-        } else {
-            assert_eq!(s2, stats2, "binary kernel drifted across samples");
-            assert_eq!(s4, stats4, "wide kernel drifted across samples");
-        }
-    }
-    assert_eq!(
-        stats2.0, stats4.0,
-        "kernels disagree on the result count — the equivalence contract is broken"
-    );
-
-    let best = |s: &[Duration]| *s.iter().min().expect("samples >= 1");
-    let (wall2, wall4) = (best(&samples2), best(&samples4));
-    KernelAbRecord {
-        queries: qs.len(),
-        rects: rects.len(),
-        samples: SCALING_SAMPLES,
-        results: stats2.0,
-        bvh2: KernelAbSide {
-            kernel: "bvh2",
-            wall: wall2,
-            wall_samples: samples2,
-            model: stats2.1,
-            nodes_visited: stats2.2,
-            prim_tests: stats2.3,
-        },
-        bvh4: KernelAbSide {
-            kernel: "bvh4",
-            wall: wall4,
-            wall_samples: samples4,
-            model: stats4.1,
-            nodes_visited: stats4.2,
-            prim_tests: stats4.3,
-        },
-        speedup: wall2.as_secs_f64() / wall4.as_secs_f64().max(1e-12),
-    }
-}
-
 pub(crate) fn ns(d: Duration) -> u64 {
     d.as_nanos().min(u64::MAX as u128) as u64
 }
@@ -823,29 +635,6 @@ mod tests {
             publishes_per_sec: 80000.0,
             final_version: 24,
         });
-        rep.kernel_ab = Some(KernelAbRecord {
-            queries: 10,
-            rects: 20,
-            samples: 2,
-            results: 33,
-            bvh2: KernelAbSide {
-                kernel: "bvh2",
-                wall: Duration::from_micros(300),
-                wall_samples: vec![Duration::from_micros(300), Duration::from_micros(320)],
-                model: Duration::from_micros(9),
-                nodes_visited: 500,
-                prim_tests: 60,
-            },
-            bvh4: KernelAbSide {
-                kernel: "bvh4",
-                wall: Duration::from_micros(200),
-                wall_samples: vec![Duration::from_micros(210), Duration::from_micros(200)],
-                model: Duration::from_micros(8),
-                nodes_visited: 250,
-                prim_tests: 60,
-            },
-            speedup: 1.5,
-        });
         rep.serving_obs = Some(crate::serving_obs::ServingObsRecord {
             rects: 20,
             publishes: 24,
@@ -888,11 +677,6 @@ mod tests {
         assert!(j.contains("\"availability_percent\": 92.3077"));
         assert!(j.contains("\"converged\": true"));
         assert!(j.contains("\"recovery_p99_ns\": 120000"));
-        assert!(j.contains("\"kernel_ab\": {"));
-        assert!(j.contains("\"bvh2\": {\"kernel\": \"bvh2\", \"wall_ns\": 300000"));
-        assert!(j.contains("\"wall_samples_ns\": [210000, 200000]"));
-        assert!(j.contains("\"nodes_visited\": 250"));
-        assert!(j.contains("\"speedup\": 1.5000"));
         assert!(j.contains("\"fig\\\"x\\\"")); // escaped name
         assert!(j.contains("\"counters\": {")); // per-figure stable deltas
         assert!(j.contains("\"metrics\": {")); // process-wide snapshot
@@ -927,24 +711,6 @@ mod tests {
         );
         // Host-class metrics are excluded from per-figure deltas.
         assert!(f.counters.counter("rtcore.wall_ns").is_none());
-    }
-
-    #[test]
-    fn miniature_kernel_ab_agrees_across_kernels() {
-        // The asserts inside run_kernel_ab fail if the kernels disagree
-        // on results or drift across samples; on top the wide kernel
-        // must pop strictly fewer nodes than the binary one.
-        let cfg = EvalConfig::smoke();
-        let rec = run_kernel_ab(&cfg, 200);
-        assert_eq!(rec.queries, 200);
-        assert_eq!(rec.bvh2.prim_tests, rec.bvh4.prim_tests);
-        assert!(
-            rec.bvh4.nodes_visited < rec.bvh2.nodes_visited,
-            "wide kernel popped {} nodes, binary {}",
-            rec.bvh4.nodes_visited,
-            rec.bvh2.nodes_visited
-        );
-        assert!(rec.speedup > 0.0);
     }
 
     #[test]

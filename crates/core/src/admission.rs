@@ -5,11 +5,14 @@
 //! [`apply_verdict`](obs::health::apply_verdict) maps the verdict onto
 //! the process-wide [`ServingMode`]:
 //!
-//! | mode       | reads                       | writes                | maintenance  | kernel        |
-//! |------------|-----------------------------|-----------------------|--------------|---------------|
-//! | `Normal`   | all admitted                | admitted              | full policy  | configured    |
-//! | `Degraded` | [`Priority::Low`] **shed**  | admitted              | refit-only   | clamped `Bvh2`|
-//! | `ReadOnly` | `Low` shed, rest admitted   | **rejected**          | skipped      | configured    |
+//! | mode       | reads                       | writes                | maintenance  |
+//! |------------|-----------------------------|-----------------------|--------------|
+//! | `Normal`   | all admitted                | admitted              | full policy  |
+//! | `Degraded` | [`Priority::Low`] **shed**  | admitted              | refit-only   |
+//! | `ReadOnly` | `Low` shed, rest admitted   | **rejected**          | skipped      |
+//!
+//! No rung changes how an admitted query runs: every launch walks the
+//! same wide BVH in every mode.
 //!
 //! The ordering implements the ISSUE's ladder — shed the
 //! lowest-priority query batches *before* touching writers: `Degraded`

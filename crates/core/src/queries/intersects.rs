@@ -51,8 +51,10 @@ impl<C: Coord, H: QueryHandler> RtProgram<C> for ForwardProgram<'_, C, H> {
             let r = &self.snap.rects[gid as usize];
             let s = &self.queries[*qid as usize];
             // IS only reports *potential* hits (footnote 2): confirm with
-            // the slab method (Algorithm 1 line 18)...
-            if diagonal(s).intersects_rect(r) {
+            // the exact predicate (Definition 3) — the f32 slab clip can
+            // round a 1-ulp gap shut — and with the slab method
+            // (Algorithm 1 line 18)...
+            if r.intersects(s) && diagonal(s).intersects_rect(r) {
                 // ...and drop pairs the backward pass will also find
                 // (line 19), so the union is duplicate-free.
                 if !self.check_backward || !anti_diagonal(r).intersects_rect(s) {
@@ -99,9 +101,10 @@ impl<C: Coord, H: QueryHandler> RtProgram<C> for BackwardProgram<'_, C, H> {
         }
         let r = &self.snap.rects[p.gid as usize];
         let s = &self.queries[qid as usize];
-        // Exact test in original coordinates; all backward hits are kept
+        // Exact test in original coordinates (the same Definition 3
+        // gate as the forward pass); all backward hits are kept
         // (deduplication already happened in the forward pass).
-        if anti_diagonal(r).intersects_rect(s) {
+        if r.intersects(s) && anti_diagonal(r).intersects_rect(s) {
             self.handler.handle(p.gid, qid);
         }
         IsResult::Ignore
@@ -241,7 +244,7 @@ fn finish_batch(
             actual_pairs: results,
             rays: totals.rays,
             is_calls: totals.is_calls,
-            nodes_visited: totals.nodes_visited,
+            nodes_visited: totals.wide_nodes_visited,
             actual_ci: report.max_is_per_thread(),
             device_ns,
         };
@@ -260,7 +263,7 @@ fn finish_batch(
         results,
         rays: totals.rays,
         is_calls: totals.is_calls,
-        nodes_visited: totals.nodes_visited,
+        nodes_visited: totals.wide_nodes_visited,
         max_is_per_thread: report.max_is_per_thread(),
         device_ns,
         wall_ns: wall_start.elapsed().as_nanos() as u64,

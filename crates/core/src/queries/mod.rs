@@ -54,7 +54,7 @@ pub(crate) fn record_batch_trace(
         results,
         rays: totals.rays,
         is_calls: totals.is_calls,
-        nodes_visited: totals.nodes_visited,
+        nodes_visited: totals.wide_nodes_visited,
         max_is_per_thread: report.max_is_per_thread(),
         device_ns: obs::PhaseNanos {
             k_prediction: report.breakdown.k_prediction.device.as_nanos() as u64,

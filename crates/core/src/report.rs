@@ -89,15 +89,13 @@ impl QueryReport {
 
     /// Average BVH nodes visited per cast ray — the traversal-depth
     /// diagnostic behind the `O(log N)` search-cost term of the §3.4
-    /// cost model. Sums binary and wide node pops so the figure is
-    /// meaningful under either traversal kernel.
+    /// cost model, counted in wide (BVH4) node pops.
     pub fn nodes_per_ray(&self) -> f64 {
         let rays = self.launch.totals.rays;
         if rays == 0 {
             return 0.0;
         }
-        (self.launch.totals.nodes_visited + self.launch.totals.wide_nodes_visited) as f64
-            / rays as f64
+        self.launch.totals.wide_nodes_visited as f64 / rays as f64
     }
 
     /// Largest number of IS invocations handled by one thread — the

@@ -2,8 +2,8 @@
 
 use geom::{Point, Rect};
 use librts::{
-    CollectingHandler, IndexError, IndexOptions, LockFreeCollectingHandler, MulticastConfig,
-    MulticastMode, Predicate, RTSIndex, RTSIndex3,
+    CollectingHandler, CountingHandler, DedupStrategy, IndexError, IndexOptions,
+    LockFreeCollectingHandler, MulticastConfig, MulticastMode, Predicate, RTSIndex, RTSIndex3,
 };
 
 fn r(a: f32, b: f32, c: f32, d: f32) -> Rect<f32, 2> {
@@ -405,4 +405,47 @@ fn query_report_diagnostics() {
     let empty = index.point_query(&[], &CollectingHandler::new());
     assert_eq!(empty.is_precision(0), 1.0);
     assert_eq!(empty.nodes_per_ray(), 0.0);
+}
+
+#[test]
+fn intersects_rejects_rects_one_ulp_apart() {
+    // The query's max.x sits 1 ulp left of the rect's min.x, so the two
+    // are disjoint under Definition 3; the f32 slab clip of the query
+    // diagonal rounds its entry parameter to 1.0 and used to report it.
+    let s = Rect::xyxy(-31.238205f32, 46.568718, 105.47893, 71.64184);
+    let min_x = f32::from_bits(s.max.x().to_bits() + 1);
+    let rect = r(min_x, 46.556103, min_x + 0.05, 46.5761);
+    assert!(!rect.intersects(&s));
+    for dedup in [DedupStrategy::ForwardCheck, DedupStrategy::HashPostProcess] {
+        let opts = IndexOptions {
+            dedup,
+            ..IndexOptions::default()
+        };
+        let index = RTSIndex::with_rects(&[rect], opts).unwrap();
+        let got = index.collect_range_query(Predicate::Intersects, &[s]);
+        assert_eq!(got, vec![], "{dedup:?}");
+    }
+}
+
+#[test]
+fn explain_reports_wide_node_visits() {
+    let rects: Vec<Rect<f32, 2>> = (0..2_000)
+        .map(|i| {
+            let x = (i % 50) as f32 * 2.0;
+            let y = (i / 50) as f32 * 2.0;
+            r(x, y, x + 1.5, y + 1.5)
+        })
+        .collect();
+    let qs: Vec<Rect<f32, 2>> = (0..100)
+        .map(|i| {
+            let x = (i % 10) as f32 * 9.0;
+            let y = (i / 10) as f32 * 7.0;
+            r(x, y, x + 3.0, y + 3.0)
+        })
+        .collect();
+    let index = RTSIndex::with_rects(&rects, IndexOptions::default()).unwrap();
+    let report = index.range_query(Predicate::Intersects, &qs, &CountingHandler::new());
+    let plan = index.explain_intersects(&qs, &CountingHandler::new());
+    assert!(plan.nodes_visited > 0);
+    assert_eq!(plan.nodes_visited, report.launch.totals.wide_nodes_visited);
 }

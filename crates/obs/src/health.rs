@@ -322,12 +322,11 @@ pub fn http_response() -> (u16, String) {
 /// reporting:
 ///
 /// - **Normal** — full service.
-/// - **Degraded** (maps from [`Verdict::Degraded`]) — `rtcore` forces
-///   the cheaper binary (`Bvh2`) traversal kernel unless a scoped
-///   override pins one, `librts` maintenance clamps to refit-only (no
-///   rebuild/compact amplification under load), and low-priority query
-///   batches are shed with a 429-equivalent typed error before any
-///   writer is touched.
+/// - **Degraded** (maps from [`Verdict::Degraded`]) — `librts`
+///   maintenance clamps to refit-only (no rebuild/compact amplification
+///   under load), and low-priority query batches are shed with a
+///   429-equivalent typed error before any writer is touched. Admitted
+///   queries run exactly as in Normal: the mode never changes traversal.
 /// - **ReadOnly** (maps from [`Verdict::Unhealthy`]) — mutations are
 ///   rejected with a typed error; readers keep serving the last-good
 ///   published snapshot.
@@ -340,8 +339,7 @@ pub fn http_response() -> (u16, String) {
 pub enum ServingMode {
     /// Full service.
     Normal,
-    /// Shed low-priority reads, force the cheap kernel, refit-only
-    /// maintenance.
+    /// Shed low-priority reads, refit-only maintenance.
     Degraded,
     /// Reject mutations; serve the last-good snapshot read-only.
     ReadOnly,

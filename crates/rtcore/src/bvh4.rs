@@ -23,7 +23,10 @@
 //! the same IS calls, and performs the same number of primitive box
 //! tests — only the *node* work changes shape, which is why
 //! [`RayStats`] splits `wide_nodes_visited`/`wide_prim_tests` from the
-//! binary counters instead of overloading them.
+//! binary counters instead of overloading them. Every RT launch walks
+//! this structure; the binary [`Bvh::traverse`] remains as the LBVH
+//! baseline's software walk and as the reference this equivalence is
+//! tested against.
 
 use geom::{Coord, Ray, Rect};
 
@@ -387,8 +390,8 @@ impl<C: Coord> Bvh4<C> {
 /// [`Ray::entry_t`] with the same reciprocal values, so its verdict and
 /// returned parameter are bit-identical — including the NaN behaviour
 /// of near-degenerate directions — which is what keeps the wide kernel
-/// result-equal to the binary one (pinned by the conformance
-/// `kernel_equivalence` tier).
+/// result-equal to the binary one (pinned by
+/// `wide_matches_binary_hit_set_and_prim_tests`).
 struct SlabRay<C: Coord> {
     origin: [C; 3],
     inv: [C; 3],

@@ -65,10 +65,11 @@ pub(crate) struct InstanceRecord<C: Coord> {
 /// reused across IAS rebuilds — the core of the insertion design.
 #[derive(Clone, Debug)]
 pub struct Ias<C: Coord> {
-    /// BVH over instance world bounds (one "primitive" per instance).
-    pub(crate) tlas: Bvh<C>,
-    /// Wide form of the TLAS for the BVH4 kernel, collapsed from `tlas`.
-    pub(crate) wide_tlas: Bvh4<C>,
+    /// Wide BVH over instance world bounds (one "primitive" per
+    /// instance), collapsed from a binary build.
+    pub(crate) tlas: Bvh4<C>,
+    /// Root bounds of the TLAS — the whole scene.
+    bounds: Rect<C, 3>,
     pub(crate) world_bounds: Vec<Rect<C, 3>>,
     pub(crate) records: Vec<InstanceRecord<C>>,
 }
@@ -106,13 +107,12 @@ impl<C: Coord> Ias<C> {
             });
         }
         // IAS builds are intentionally cheap: fast-build quality, leaf=1.
-        let tlas = Bvh::build(&world_bounds, BuildQuality::PreferFastBuild, 1);
-        let wide_tlas = Bvh4::collapse(&tlas);
+        let binary = Bvh::build(&world_bounds, BuildQuality::PreferFastBuild, 1);
         obs::counter("rtcore.ias_builds").inc();
         obs::counter("rtcore.ias_instances").add(records.len() as u64);
         Ok(Self {
-            tlas,
-            wide_tlas,
+            tlas: Bvh4::collapse(&binary),
+            bounds: binary.root_bounds(),
             world_bounds,
             records,
         })
@@ -133,7 +133,7 @@ impl<C: Coord> Ias<C> {
     /// World bounds of the whole scene.
     #[inline]
     pub fn bounds(&self) -> Rect<C, 3> {
-        self.tlas.root_bounds()
+        self.bounds
     }
 
     /// Total primitives across all instanced GASes.
@@ -147,8 +147,7 @@ impl<C: Coord> Ias<C> {
     /// `RTSIndex`) sum their bottom-level memory themselves so shared
     /// structures are never double-counted.
     pub fn tlas_memory_bytes(&self) -> usize {
-        self.tlas.nodes.len() * std::mem::size_of::<crate::bvh::Node<C>>()
-            + self.wide_tlas.memory_bytes()
+        self.tlas.memory_bytes()
             + self.world_bounds.len() * std::mem::size_of::<Rect<C, 3>>()
             + self.records.len() * std::mem::size_of::<InstanceRecord<C>>()
     }

@@ -3,10 +3,11 @@
 //! `Device::launch(width, raygen)` mirrors `optixLaunch`: the raygen
 //! closure runs once per launch index, in parallel over the `exec`
 //! work-stealing pool (the SMs). Inside raygen, [`TraceSession::trace`]
-//! plays the role of `optixTrace`: it walks the acceleration structure,
-//! invoking the program's IS/AH/CH/MS shaders, while hardware counters
-//! accumulate per launch index so the SIMT cost model can price warp
-//! divergence.
+//! plays the role of `optixTrace`: it walks the acceleration structure's
+//! wide [`Bvh4`](crate::Bvh4) form — the one traversal, as RT hardware
+//! exposes one traversal datapath — invoking the program's IS/AH/CH/MS
+//! shaders, while hardware counters accumulate per launch index so the
+//! SIMT cost model can price warp divergence.
 //!
 //! The launch is deterministic at any thread count: lane times are
 //! written into order-stable per-warp slots, and counters accumulate in
@@ -22,18 +23,15 @@ use geom::{Coord, Ray};
 use crate::bvh::Control;
 use crate::gas::Gas;
 use crate::ias::Ias;
-use crate::kernel::Kernel;
 use crate::program::{AnyHitResult, ClosestHit, HitContext, IsResult, RtProgram};
 use crate::stats::{CostModel, LaunchReport, RayStats, TraversalBackend, WARP_SIZE};
 
 /// Anything a ray can be traced against — a GAS directly or an IAS
 /// (OptiX traversable handles).
 pub trait Traversable<C: Coord>: Sync {
-    /// Walks the structure for `ray` with the given traversal kernel,
-    /// driving the program's shaders.
+    /// Walks the structure for `ray`, driving the program's shaders.
     fn walk<P: RtProgram<C>>(
         &self,
-        kernel: Kernel,
         program: &P,
         ray: &Ray<C, 3>,
         payload: &mut P::Payload,
@@ -45,30 +43,19 @@ pub trait Traversable<C: Coord>: Sync {
 impl<C: Coord> Traversable<C> for Gas<C> {
     fn walk<P: RtProgram<C>>(
         &self,
-        kernel: Kernel,
         program: &P,
         ray: &Ray<C, 3>,
         payload: &mut P::Payload,
         stats: &mut RayStats,
         closest: &mut Option<ClosestHit>,
     ) -> Control {
-        walk_gas(
-            self,
-            kernel,
-            u32::MAX,
-            program,
-            ray,
-            payload,
-            stats,
-            closest,
-        )
+        walk_gas(self, u32::MAX, program, ray, payload, stats, closest)
     }
 }
 
 impl<C: Coord> Traversable<C> for Ias<C> {
     fn walk<P: RtProgram<C>>(
         &self,
-        kernel: Kernel,
         program: &P,
         ray: &Ray<C, 3>,
         payload: &mut P::Payload,
@@ -77,7 +64,6 @@ impl<C: Coord> Traversable<C> for Ias<C> {
     ) -> Control {
         // Two-level traversal: TLAS leaves are instances; each transition
         // transforms the ray into object space and descends into the GAS.
-        // Both levels run the same kernel: a launch is never split.
         let mut result = Control::Continue;
         let mut visit = |inst_idx: u32, stats: &mut RayStats| {
             let rec = &self.records[inst_idx as usize];
@@ -88,7 +74,6 @@ impl<C: Coord> Traversable<C> for Ias<C> {
             };
             let ctl = walk_gas(
                 &rec.gas,
-                kernel,
                 rec.instance_id,
                 program,
                 &object_ray,
@@ -101,23 +86,15 @@ impl<C: Coord> Traversable<C> for Ias<C> {
             }
             ctl
         };
-        match kernel {
-            Kernel::Bvh2 => self
-                .tlas
-                .traverse(ray, &self.world_bounds, stats, &mut visit),
-            Kernel::Bvh4 => self
-                .wide_tlas
-                .traverse(ray, &self.world_bounds, stats, &mut visit),
-        };
+        self.tlas
+            .traverse(ray, &self.world_bounds, stats, &mut visit);
         result
     }
 }
 
 /// GAS traversal driving the IS/AH shader protocol.
-#[allow(clippy::too_many_arguments)]
 fn walk_gas<C: Coord, P: RtProgram<C>>(
     gas: &Gas<C>,
-    kernel: Kernel,
     instance_id: u32,
     program: &P,
     ray: &Ray<C, 3>,
@@ -160,10 +137,7 @@ fn walk_gas<C: Coord, P: RtProgram<C>>(
             }
         }
     };
-    match kernel {
-        Kernel::Bvh2 => gas.bvh().traverse(ray, aabbs, stats, &mut visit),
-        Kernel::Bvh4 => gas.wide().traverse(ray, aabbs, stats, &mut visit),
-    }
+    gas.wide().traverse(ray, aabbs, stats, &mut visit)
 }
 
 /// A per-launch-index handle for casting rays (the `optixTrace` entry
@@ -171,8 +145,6 @@ fn walk_gas<C: Coord, P: RtProgram<C>>(
 /// hardware counters.
 pub struct TraceSession<'a, C: Coord> {
     stats: RayStats,
-    /// Traversal kernel captured on the issuing thread at launch time.
-    kernel: Kernel,
     _marker: std::marker::PhantomData<&'a C>,
 }
 
@@ -189,14 +161,7 @@ impl<C: Coord> TraceSession<'_, C> {
         debug_assert!(ray.is_valid(), "invalid ray: {ray:?}");
         self.stats.rays += 1;
         let mut closest: Option<ClosestHit> = None;
-        handle.walk(
-            self.kernel,
-            program,
-            ray,
-            payload,
-            &mut self.stats,
-            &mut closest,
-        );
+        handle.walk(program, ray, payload, &mut self.stats, &mut closest);
         match closest {
             Some(hit) => program.closest_hit(&hit, payload),
             None => program.miss(payload),
@@ -246,21 +211,6 @@ impl Device {
         C: Coord,
         F: Fn(usize, &mut TraceSession<'_, C>) + Sync,
     {
-        self.launch_with_backend(width, TraversalBackend::RtCore, raygen)
-    }
-
-    /// As [`Device::launch`] but pricing node visits at the software rate
-    /// (used to model "RT cores disabled" controls).
-    pub fn launch_with_backend<C, F>(
-        &self,
-        width: usize,
-        backend: TraversalBackend,
-        raygen: F,
-    ) -> LaunchReport
-    where
-        C: Coord,
-        F: Fn(usize, &mut TraceSession<'_, C>) + Sync,
-    {
         let start = Instant::now();
         if width == 0 {
             return LaunchReport::default();
@@ -277,10 +227,6 @@ impl Device {
             Some(chaos::FaultAction::Slow(ns)) => injected_ns = ns,
             None => {}
         }
-        // Resolve the traversal kernel ONCE, on the issuing thread, so a
-        // `with_kernel` scope on the caller governs the whole fan-out:
-        // pool workers must never consult their own (unset) overrides.
-        let kernel = crate::kernel::current_kernel();
         // Warps of consecutive launch indices are the parallel work items;
         // lanes within a warp run sequentially on one worker — mirroring
         // SIMT scheduling while keeping task overhead low. Lane times land
@@ -298,11 +244,12 @@ impl Device {
             for (lane, slot) in lane_times.iter_mut().enumerate().take(lanes) {
                 let mut session = TraceSession {
                     stats: RayStats::default(),
-                    kernel,
                     _marker: std::marker::PhantomData,
                 };
                 raygen(warp_start + lane, &mut session);
-                *slot = self.cost_model.ray_time_ns(&session.stats, backend);
+                *slot = self
+                    .cost_model
+                    .ray_time_ns(&session.stats, TraversalBackend::RtCore);
                 max_is = max_is.max(session.stats.is_calls);
                 warp_stats += session.stats;
             }
@@ -341,8 +288,6 @@ impl Device {
 struct LaunchMetrics {
     launches: std::sync::Arc<obs::Counter>,
     rays: std::sync::Arc<obs::Counter>,
-    nodes_visited: std::sync::Arc<obs::Counter>,
-    prim_tests: std::sync::Arc<obs::Counter>,
     wide_nodes_visited: std::sync::Arc<obs::Counter>,
     wide_prim_tests: std::sync::Arc<obs::Counter>,
     is_calls: std::sync::Arc<obs::Counter>,
@@ -360,8 +305,6 @@ fn launch_metrics() -> &'static LaunchMetrics {
     METRICS.get_or_init(|| LaunchMetrics {
         launches: obs::counter("rtcore.launches"),
         rays: obs::counter("rtcore.rays"),
-        nodes_visited: obs::counter("rtcore.nodes_visited"),
-        prim_tests: obs::counter("rtcore.prim_tests"),
         wide_nodes_visited: obs::counter("rtcore.wide_nodes_visited"),
         wide_prim_tests: obs::counter("rtcore.wide_prim_tests"),
         is_calls: obs::counter("rtcore.is_calls"),
@@ -382,8 +325,6 @@ fn record_launch(report: &LaunchReport) {
     let m = launch_metrics();
     m.launches.inc();
     m.rays.add(report.totals.rays);
-    m.nodes_visited.add(report.totals.nodes_visited);
-    m.prim_tests.add(report.totals.prim_tests);
     m.wide_nodes_visited.add(report.totals.wide_nodes_visited);
     m.wide_prim_tests.add(report.totals.wide_prim_tests);
     m.is_calls.add(report.totals.is_calls);
@@ -463,9 +404,10 @@ mod tests {
         assert_eq!(program.hits.load(Ordering::Relaxed), 100);
         assert_eq!(report.width, 400);
         assert_eq!(report.totals.rays, 400);
-        // The default kernel is the wide walk: node work lands on the
-        // wide counters, not the binary ones.
+        // Node work lands on the wide counters, never the binary ones.
         assert!(report.totals.wide_nodes_visited > 0);
+        assert_eq!(report.totals.nodes_visited, 0);
+        assert_eq!(report.totals.prim_tests, 0);
         assert!(report.device_time.as_nanos() > 0);
     }
 
@@ -636,109 +578,6 @@ mod tests {
             *count.lock() = c;
         });
         assert_eq!(count.into_inner(), 1);
-    }
-
-    #[test]
-    fn software_backend_costs_more() {
-        let gas = grid_gas();
-        let device = Device::new();
-        let run = |backend| {
-            let program = CountContains {
-                hits: AtomicU64::new(0),
-            };
-            device.launch_with_backend::<f32, _>(1024, backend, |i, session| {
-                let x = (i % 32) as f32 * 0.6;
-                let y = (i / 32) as f32 * 0.6;
-                let mut p = Point::xyz(x, y, 0.0);
-                session.trace(&gas, &program, &Ray::point_probe(p), &mut p);
-            })
-        };
-        let hw = run(TraversalBackend::RtCore);
-        let sw = run(TraversalBackend::Software);
-        assert_eq!(hw.totals, sw.totals, "same work, different pricing");
-        assert!(sw.device_time > hw.device_time);
-    }
-
-    #[test]
-    fn kernels_agree_and_charge_their_own_counters() {
-        let gas = grid_gas();
-        let device = Device::new();
-        let run = |k| {
-            crate::kernel::with_kernel(k, || {
-                let program = CountContains {
-                    hits: AtomicU64::new(0),
-                };
-                let report = device.launch::<f32, _>(400, |i, session| {
-                    let x = (i % 20) as f32;
-                    let y = (i / 20) as f32;
-                    let mut p = Point::xyz(x + 0.5, y + 0.5, 0.0);
-                    let ray = Ray::point_probe(p);
-                    session.trace(&gas, &program, &ray, &mut p);
-                });
-                (program.hits.load(Ordering::Relaxed), report)
-            })
-        };
-        let (h2, r2) = run(Kernel::Bvh2);
-        let (h4, r4) = run(Kernel::Bvh4);
-        assert_eq!(h2, h4, "kernels must agree on results");
-        assert_eq!(r2.totals.is_calls, r4.totals.is_calls);
-        assert_eq!(r2.totals.hits_reported, r4.totals.hits_reported);
-        // Conservative-test monotonicity: the wide kernel reaches the
-        // exact binary leaf set, so its prim tests equal the binary
-        // kernel's — only the node-walk counters change shape.
-        assert_eq!(r4.totals.wide_prim_tests, r2.totals.prim_tests);
-        assert_eq!(r2.totals.wide_nodes_visited, 0);
-        assert_eq!(r2.totals.wide_prim_tests, 0);
-        assert_eq!(r4.totals.nodes_visited, 0);
-        assert_eq!(r4.totals.prim_tests, 0);
-        assert!(r4.totals.wide_nodes_visited > 0);
-        assert!(
-            r4.totals.wide_nodes_visited < r2.totals.nodes_visited,
-            "wide walk must pop fewer nodes"
-        );
-    }
-
-    #[test]
-    fn ias_traversal_kernels_agree() {
-        let all: Vec<_> = (0..100)
-            .map(|i| {
-                let x = (i % 10) as f32 * 2.0;
-                let y = (i / 10) as f32 * 2.0;
-                Rect::xyzxyz(x, y, -0.5, x + 1.0, y + 1.0, 0.5)
-            })
-            .collect();
-        let instances: Vec<_> = all
-            .chunks(25)
-            .enumerate()
-            .map(|(k, chunk)| {
-                Instance::identity(
-                    Arc::new(Gas::build(chunk.to_vec(), BuildOptions::default()).unwrap()),
-                    k as u32,
-                )
-            })
-            .collect();
-        let ias = Ias::build(&instances).unwrap();
-        let device = Device::new();
-        let run = |k| {
-            crate::kernel::with_kernel(k, || {
-                let program = CountContains {
-                    hits: AtomicU64::new(0),
-                };
-                let report = device.launch::<f32, _>(400, |i, session| {
-                    let x = (i % 20) as f32;
-                    let y = (i / 20) as f32;
-                    let mut p = Point::xyz(x + 0.5, y + 0.5, 0.0);
-                    session.trace(&ias, &program, &Ray::point_probe(p), &mut p);
-                });
-                (program.hits.load(Ordering::Relaxed), report)
-            })
-        };
-        let (h2, r2) = run(Kernel::Bvh2);
-        let (h4, r4) = run(Kernel::Bvh4);
-        assert_eq!(h2, 100);
-        assert_eq!(h4, 100);
-        assert_eq!(r2.totals.instance_visits, r4.totals.instance_visits);
-        assert_eq!(r4.totals.wide_prim_tests, r2.totals.prim_tests);
     }
 
     #[test]

@@ -5,7 +5,7 @@
 use std::sync::{Mutex, PoisonError};
 
 use geom::{Point, Ray, Rect};
-use rtcore::{BuildOptions, Device, Gas, HitContext, Ias, Instance, IsResult, Kernel, RtProgram};
+use rtcore::{BuildOptions, Device, Gas, HitContext, Ias, Instance, IsResult, RtProgram};
 use std::sync::Arc;
 
 /// Serializes the tests in this binary: schedules and the serving mode
@@ -126,7 +126,7 @@ fn injected_launch_panic_reaches_the_caller() {
 }
 
 #[test]
-fn degraded_serving_mode_forces_bvh2_unless_scoped() {
+fn serving_mode_never_changes_traversal() {
     let _guard = serial();
     struct Restore(obs::ServingMode);
     impl Drop for Restore {
@@ -136,26 +136,14 @@ fn degraded_serving_mode_forces_bvh2_unless_scoped() {
     }
     let _restore = Restore(obs::health::set_serving_mode(obs::ServingMode::Normal));
 
+    // Shedding and write rejection are core-layer decisions; a launch
+    // walks the same tree and charges the same counters in every mode.
     let gas = Gas::build(boxes(100), BuildOptions::default()).unwrap();
     let device = Device::new();
-    let normal = probe_all(&device, &gas);
-    assert!(normal.totals.wide_nodes_visited > 0, "default is Bvh4");
-
-    obs::health::set_serving_mode(obs::ServingMode::Degraded);
-    let degraded = probe_all(&device, &gas);
-    assert_eq!(degraded.totals.wide_nodes_visited, 0);
-    assert!(
-        degraded.totals.nodes_visited > 0,
-        "Degraded must clamp launches to the binary kernel"
-    );
-
-    // An explicit scope outranks the clamp (A/B harnesses keep control).
-    let pinned = rtcore::with_kernel(Kernel::Bvh4, || probe_all(&device, &gas));
-    assert!(pinned.totals.wide_nodes_visited > 0);
-
-    // ReadOnly restricts *mutations* (a core-layer concern), not the
-    // kernel: reads keep the configured default.
-    obs::health::set_serving_mode(obs::ServingMode::ReadOnly);
-    let read_only = probe_all(&device, &gas);
-    assert!(read_only.totals.wide_nodes_visited > 0);
+    let normal = probe_all(&device, &gas).totals;
+    assert!(normal.wide_nodes_visited > 0);
+    for mode in [obs::ServingMode::Degraded, obs::ServingMode::ReadOnly] {
+        obs::health::set_serving_mode(mode);
+        assert_eq!(probe_all(&device, &gas).totals, normal, "{mode:?}");
+    }
 }
