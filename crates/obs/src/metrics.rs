@@ -2,10 +2,17 @@
 //! power-of-two latency histograms.
 //!
 //! Counters and histograms shard their cells by the `exec` worker slot
-//! (slot 0 for non-pool threads), exactly like `exec::Shards`: hot-path
-//! increments land in a cell that is effectively private to the current
-//! worker, and reads fold the cells with commutative u64 addition — so
-//! totals are scheduling-independent even though cell contents are not.
+//! (slot 0 for non-pool threads), exactly like `exec::Shards`: a
+//! hot-path increment lands in the current worker's own cell, and reads
+//! fold the cells with commutative u64 addition — so totals are
+//! scheduling-independent even though cell contents are not.
+//!
+//! A shard is private only if no other shard shares its cache line,
+//! otherwise every increment invalidates the line under the other
+//! workers (false sharing). [`Counter`] therefore pads each cell to a
+//! 64-byte line of its own. [`Histogram`] cells are shard-major (65
+//! buckets per shard), so the same bucket of two shards already lies
+//! 520 B apart, and are left unpadded.
 
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 
@@ -20,15 +27,20 @@ fn shard_index() -> usize {
     exec::worker_index().map_or(0, |i| i + 1) % SHARDS
 }
 
+/// One counter cell on a 64-byte cache line of its own.
+#[derive(Default)]
+#[repr(align(64))]
+struct PaddedCell(AtomicU64);
+
 /// A monotonically increasing counter.
 pub struct Counter {
-    cells: Box<[AtomicU64]>,
+    cells: Box<[PaddedCell]>,
 }
 
 impl Counter {
     pub(crate) fn new() -> Self {
         Self {
-            cells: (0..SHARDS).map(|_| AtomicU64::new(0)).collect(),
+            cells: (0..SHARDS).map(|_| PaddedCell::default()).collect(),
         }
     }
 
@@ -42,7 +54,7 @@ impl Counter {
     /// Adds `v` to the counter.
     #[inline]
     pub fn add(&self, v: u64) {
-        self.cells[shard_index()].fetch_add(v, Ordering::Relaxed);
+        self.cells[shard_index()].0.fetch_add(v, Ordering::Relaxed);
     }
 
     /// Adds 1 to the counter.
@@ -55,13 +67,13 @@ impl Counter {
     pub fn value(&self) -> u64 {
         self.cells
             .iter()
-            .map(|c| c.load(Ordering::Relaxed))
+            .map(|c| c.0.load(Ordering::Relaxed))
             .fold(0u64, u64::wrapping_add)
     }
 
     pub(crate) fn reset(&self) {
         for c in &self.cells {
-            c.store(0, Ordering::Relaxed);
+            c.0.store(0, Ordering::Relaxed);
         }
     }
 }
@@ -234,6 +246,13 @@ mod tests {
         assert_eq!(c.value(), 4);
         c.reset();
         assert_eq!(c.value(), 0);
+    }
+
+    #[test]
+    fn counter_cells_sit_on_separate_cache_lines() {
+        let c = Counter::new();
+        let addr = |i: usize| std::ptr::addr_of!(c.cells[i]) as usize;
+        assert!(addr(1) - addr(0) >= 64, "shards 0 and 1 share a cache line");
     }
 
     #[test]

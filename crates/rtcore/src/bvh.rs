@@ -291,13 +291,15 @@ impl<C: Coord> Bvh<C> {
 /// LIFO of node indices with a fixed inline segment and a heap spill
 /// drawn from the per-worker scratch arena. The inline segment covers
 /// every balanced tree (depth 62 would need more than 2⁶² nodes) with
-/// zero allocation; deeper, adversarially skewed trees overflow into a
-/// pooled `Vec` whose capacity is reused across rays and launches
+/// zero allocation and no pool access; only deeper, adversarially
+/// skewed trees overflow, and the first overflow takes a pooled `Vec`
+/// whose capacity is reused across rays and launches
 /// ([`crate::scratch`]), so even the spilling path allocates at most
 /// once per worker thread. Shared by the binary and wide (BVH4)
-/// traversal kernels. Invariant: `spill` is non-empty only while the
+/// traversal kernels. Invariants: `spill` is non-empty only while the
 /// inline segment is full, so popping `spill` first preserves LIFO
-/// order.
+/// order; and `spill` has capacity only once it was taken from the
+/// pool, so only a taken buffer is returned.
 pub(crate) struct TraversalStack {
     inline: [u32; 64],
     sp: usize,
@@ -310,7 +312,7 @@ impl TraversalStack {
         Self {
             inline: [0; 64],
             sp: 0,
-            spill: crate::scratch::take_spill(),
+            spill: Vec::new(),
         }
     }
 
@@ -320,6 +322,9 @@ impl TraversalStack {
             self.inline[self.sp] = v;
             self.sp += 1;
         } else {
+            if self.spill.capacity() == 0 {
+                self.spill = crate::scratch::take_spill();
+            }
             self.spill.push(v);
         }
     }
@@ -339,7 +344,9 @@ impl TraversalStack {
 
 impl Drop for TraversalStack {
     fn drop(&mut self) {
-        crate::scratch::put_spill(std::mem::take(&mut self.spill));
+        if self.spill.capacity() != 0 {
+            crate::scratch::put_spill(std::mem::take(&mut self.spill));
+        }
     }
 }
 

@@ -7,9 +7,10 @@
 //! design: a [`Bvh4`] is collapsed deterministically from the binary
 //! [`Bvh`] (so its topology is a pure function of the input — the same
 //! determinism contract the binary builder honours at any thread
-//! count), stores its child bounds in SoA arrays (one contiguous lane
-//! per coordinate, four slots per node), and descends near-to-far by
-//! clipped ray-entry parameter.
+//! count), stores each wide node as one contiguous record whose child
+//! bounds are per-axis lanes of four slots, slab-tests the four slots
+//! as straight-line lanes without early exits, and descends near-to-far
+//! by clipped ray-entry parameter.
 //!
 //! ## Equivalence to the binary kernel
 //!
@@ -38,12 +39,13 @@ const EMPTY: u32 = u32::MAX;
 
 /// A flattened 4-wide BVH collapsed from a binary [`Bvh`].
 ///
-/// Storage is SoA: child bounds live in six coordinate lanes of
-/// `4 * node_count` entries each (slot `s` of node `n` at flat index
-/// `n * 4 + s`), so one wide node's box tests read contiguous memory —
-/// the layout a hardware box-test unit (or SIMD software walk) wants.
+/// Storage is one [`Node4`] record per wide node, so a node visit reads
+/// one contiguous block (128 B for `f32`) — the layout a hardware
+/// box-test unit (or SIMD software walk) wants. The per-slot source
+/// table and the primitive permutation, which only refit, validation
+/// and leaves read, live in arrays of their own.
 ///
-/// The lanes hold the **conservatively inflated** bounds
+/// The records hold the **conservatively inflated** bounds
 /// ([`Rect::inflated_conservative`]), not the raw binary-node bounds:
 /// inflation is a pure per-box function, so baking it in at
 /// collapse/refit time lets the traversal inner loop run the plain slab
@@ -51,24 +53,76 @@ const EMPTY: u32 = u32::MAX;
 /// per-test [`Ray::hits_aabb_conservative`].
 #[derive(Clone, Debug)]
 pub struct Bvh4<C: Coord> {
-    min_x: Vec<C>,
-    min_y: Vec<C>,
-    min_z: Vec<C>,
-    max_x: Vec<C>,
-    max_y: Vec<C>,
-    max_z: Vec<C>,
-    /// Per slot: wide-node index (internal), first `prim_order` slot
-    /// (leaf), or [`EMPTY`].
-    child_index: Vec<u32>,
-    /// Per slot: primitive count for leaves, 0 for internal/empty.
-    child_count: Vec<u32>,
-    /// Per slot: index of the binary node this slot was collapsed from
-    /// ([`EMPTY`] for unused slots). Refit after a binary
-    /// [`Bvh::refit`] is a straight bounds copy through this table.
+    nodes: Vec<Node4<C>>,
+    /// Per slot (flat index `node * 4 + slot`): index of the binary
+    /// node the slot was collapsed from ([`EMPTY`] for unused slots).
+    /// Refit after a binary [`Bvh::refit`] is a straight bounds copy
+    /// through this table.
     src: Vec<u32>,
     /// Leaf-slot → user primitive index permutation (identical to the
     /// source binary BVH's).
     prim_order: Vec<u32>,
+}
+
+/// One wide node: the inflated bounds of its four child slots as
+/// per-axis lanes (`lo[axis][slot]`, `hi[axis][slot]`), followed by the
+/// per-slot child tables. Default alignment on purpose: in a trial, a
+/// 64-byte-aligned record raised range-intersects peak memory by about
+/// 10 % for a throughput change inside run-to-run noise.
+#[derive(Clone, Copy, Debug, PartialEq)]
+struct Node4<C: Coord> {
+    lo: [[C; 4]; 3],
+    hi: [[C; 4]; 3],
+    /// Per slot: wide-node index (internal), first `prim_order` slot
+    /// (leaf), or [`EMPTY`].
+    child_index: [u32; 4],
+    /// Per slot: primitive count for leaves, 0 for internal/empty.
+    child_count: [u32; 4],
+}
+
+impl<C: Coord> Node4<C> {
+    /// A node with four empty slots (zero bounds, [`EMPTY`] children).
+    fn empty() -> Self {
+        Self {
+            lo: [[C::ZERO; 4]; 3],
+            hi: [[C::ZERO; 4]; 3],
+            child_index: [EMPTY; 4],
+            child_count: [0; 4],
+        }
+    }
+
+    /// Inflated bounds stored in slot `s`.
+    fn bounds(&self, s: usize) -> Rect<C, 3> {
+        Rect {
+            min: geom::Point {
+                coords: [self.lo[0][s], self.lo[1][s], self.lo[2][s]],
+            },
+            max: geom::Point {
+                coords: [self.hi[0][s], self.hi[1][s], self.hi[2][s]],
+            },
+        }
+    }
+
+    /// Stores the conservatively inflated form of `b` into slot `s` (see
+    /// the [`Bvh4`] docs).
+    fn set_bounds(&mut self, s: usize, b: &Rect<C, 3>) {
+        let b = b.inflated_conservative();
+        for d in 0..3 {
+            self.lo[d][s] = b.min.coords[d];
+            self.hi[d][s] = b.max.coords[d];
+        }
+    }
+
+    /// Slab-tests all four slots at once: each slot's clipped entry
+    /// parameter and hit verdict. Empty slots never hit.
+    #[inline]
+    fn slab_test(&self, slab: &SlabRay<C>) -> ([C; 4], [bool; 4]) {
+        let (t, hit) = slab.entry_t_lanes(&self.lo, &self.hi);
+        (
+            t,
+            std::array::from_fn(|s| hit[s] & (self.child_index[s] != EMPTY)),
+        )
+    }
 }
 
 impl<C: Coord> Bvh4<C> {
@@ -79,21 +133,14 @@ impl<C: Coord> Bvh4<C> {
     /// expanded first until a wide node's four slots are filled.
     pub fn collapse(bvh: &Bvh<C>) -> Self {
         let mut wide = Self {
-            min_x: Vec::new(),
-            min_y: Vec::new(),
-            min_z: Vec::new(),
-            max_x: Vec::new(),
-            max_y: Vec::new(),
-            max_z: Vec::new(),
-            child_index: Vec::new(),
-            child_count: Vec::new(),
+            nodes: Vec::new(),
             src: Vec::new(),
             prim_order: bvh.prim_order.clone(),
         };
         if bvh.nodes.is_empty() {
             return wide;
         }
-        // Worklist of (binary anchor node, wide slot position to patch
+        // Worklist of (binary anchor node, flat slot position to patch
         // with the new wide node's index; EMPTY for the root).
         let mut pending: Vec<(u32, u32)> = vec![(0, EMPTY)];
         let mut slots: Vec<u32> = Vec::with_capacity(4);
@@ -101,20 +148,20 @@ impl<C: Coord> Bvh4<C> {
             let w = wide.node_count() as u32;
             wide.push_empty_node();
             if patch != EMPTY {
-                wide.child_index[patch as usize] = w;
+                wide.nodes[patch as usize / 4].child_index[patch as usize % 4] = w;
             }
             gather_slots(bvh, anchor, &mut slots);
+            let node = &mut wide.nodes[w as usize];
             for (s, &bn) in slots.iter().enumerate() {
-                let pos = w as usize * 4 + s;
-                let node = &bvh.nodes[bn as usize];
-                wide.set_slot_bounds(pos, &node.bounds);
-                wide.src[pos] = bn;
-                if node.is_leaf() {
-                    wide.child_index[pos] = node.right_or_first;
-                    wide.child_count[pos] = node.count;
+                let bin = &bvh.nodes[bn as usize];
+                node.set_bounds(s, &bin.bounds);
+                wide.src[w as usize * 4 + s] = bn;
+                if bin.is_leaf() {
+                    node.child_index[s] = bin.right_or_first;
+                    node.child_count[s] = bin.count;
                 } else {
                     // Patched when the child wide node is created.
-                    pending.push((bn, pos as u32));
+                    pending.push((bn, w * 4 + s as u32));
                 }
             }
         }
@@ -124,21 +171,19 @@ impl<C: Coord> Bvh4<C> {
     /// Number of wide nodes.
     #[inline]
     pub fn node_count(&self) -> usize {
-        self.child_index.len() / 4
+        self.nodes.len()
     }
 
     /// `true` when the structure indexes no primitives.
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.child_index.is_empty()
+        self.nodes.is_empty()
     }
 
     /// Heap footprint of the wide structure in bytes.
     pub fn memory_bytes(&self) -> usize {
-        6 * self.min_x.len() * std::mem::size_of::<C>()
-            + (self.child_index.len() + self.child_count.len() + self.src.len())
-                * std::mem::size_of::<u32>()
-            + self.prim_order.len() * std::mem::size_of::<u32>()
+        self.nodes.len() * std::mem::size_of::<Node4<C>>()
+            + (self.src.len() + self.prim_order.len()) * std::mem::size_of::<u32>()
     }
 
     /// Copies refreshed bounds out of a refit binary BVH. Because every
@@ -148,76 +193,36 @@ impl<C: Coord> Bvh4<C> {
     /// from the *original* topology exactly like OptiX refit keeps the
     /// hardware tree's shape.
     pub fn refit_from(&mut self, bvh: &Bvh<C>) {
-        for pos in 0..self.src.len() {
-            let s = self.src[pos];
-            if s != EMPTY {
-                let b = bvh.nodes[s as usize].bounds;
-                self.set_slot_bounds(pos, &b);
+        for (node, src) in self.nodes.iter_mut().zip(self.src.chunks_exact(4)) {
+            for (s, &bn) in src.iter().enumerate() {
+                if bn != EMPTY {
+                    node.set_bounds(s, &bvh.nodes[bn as usize].bounds);
+                }
             }
         }
     }
 
-    /// Inflated bounds stored in slot `pos` (flat `node * 4 + slot`
-    /// index).
-    #[inline]
-    fn slot_bounds(&self, pos: usize) -> Rect<C, 3> {
-        Rect {
-            min: geom::Point {
-                coords: [self.min_x[pos], self.min_y[pos], self.min_z[pos]],
-            },
-            max: geom::Point {
-                coords: [self.max_x[pos], self.max_y[pos], self.max_z[pos]],
-            },
-        }
-    }
-
-    /// Stores the conservatively inflated form of `b` into slot `pos`
-    /// (see the struct docs).
-    #[inline]
-    fn set_slot_bounds(&mut self, pos: usize, b: &Rect<C, 3>) {
-        let b = b.inflated_conservative();
-        self.min_x[pos] = b.min.coords[0];
-        self.min_y[pos] = b.min.coords[1];
-        self.min_z[pos] = b.min.coords[2];
-        self.max_x[pos] = b.max.coords[0];
-        self.max_y[pos] = b.max.coords[1];
-        self.max_z[pos] = b.max.coords[2];
-    }
-
     fn push_empty_node(&mut self) {
-        for lane in [
-            &mut self.min_x,
-            &mut self.min_y,
-            &mut self.min_z,
-            &mut self.max_x,
-            &mut self.max_y,
-            &mut self.max_z,
-        ] {
-            lane.extend(std::iter::repeat_n(C::ZERO, 4));
-        }
-        self.child_index.extend_from_slice(&[EMPTY; 4]);
-        self.child_count.extend_from_slice(&[0; 4]);
+        self.nodes.push(Node4::empty());
         self.src.extend_from_slice(&[EMPTY; 4]);
     }
 
-    /// Wide single-ray traversal. Per wide node popped, all (up to
-    /// four) child boxes are slab-tested; hit children are descended
-    /// near-to-far by clipped entry parameter (ties broken by slot, so
-    /// the order is deterministic). Counters: one `wide_nodes_visited`
-    /// per node popped, one `wide_prim_tests` per primitive box test —
-    /// the wide analogue of the binary kernel's
-    /// `nodes_visited`/`prim_tests`. The set of `on_prim` invocations
-    /// is identical to [`Bvh::traverse`]'s (see the module docs); only
-    /// their order may differ.
+    /// Wide single-ray traversal. Per wide node popped, all four child
+    /// slots are slab-tested as straight-line lanes ([`Node4`] record,
+    /// no early exit); hit children are descended near-to-far by
+    /// clipped entry parameter (ties broken by slot, so the order is
+    /// deterministic). Counters: one `wide_nodes_visited` per node
+    /// popped, one `wide_prim_tests` per primitive box test — the wide
+    /// analogue of the binary kernel's `nodes_visited`/`prim_tests`. The
+    /// set of `on_prim` invocations is identical to [`Bvh::traverse`]'s
+    /// (see the module docs); only their order may differ.
     ///
     /// Per-ray slab state (the reciprocal directions — the divisions of
     /// the slab test — and the zero-direction axis classification) is
     /// computed once up front ([`SlabRay`]); combined with the
-    /// pre-inflated slot lanes this leaves only subtract/multiply/
-    /// compare work in the four-wide inner loop, which is where the
-    /// wide kernel's wall-clock win over the binary kernel comes from
-    /// (the pop count alone would not buy it: four slots per pop does
-    /// roughly the same number of box tests).
+    /// pre-inflated bounds this leaves only subtract/multiply/compare
+    /// work in the four-lane box test, which the compiler vectorises
+    /// because no lane branches out early.
     pub fn traverse<F>(
         &self,
         ray: &Ray<C, 3>,
@@ -248,24 +253,16 @@ impl<C: Coord> Bvh4<C> {
                 },
             };
             stats.wide_nodes_visited += 1;
-            let base = w as usize * 4;
-            let src = &self.src[base..base + 4];
-            let mnx = &self.min_x[base..base + 4];
-            let mny = &self.min_y[base..base + 4];
-            let mnz = &self.min_z[base..base + 4];
-            let mxx = &self.max_x[base..base + 4];
-            let mxy = &self.max_y[base..base + 4];
-            let mxz = &self.max_z[base..base + 4];
+            let node = &self.nodes[w as usize];
 
-            // Box-test the four child slots and collect hits.
+            // Box-test the four slots at once, then collect the hits in
+            // slot order.
+            let (t, hit) = node.slab_test(&slab);
             let mut hits: [(C, u8); 4] = [(C::ZERO, 0); 4];
             let mut n_hits = 0usize;
             for s in 0..4 {
-                if src[s] == EMPTY {
-                    continue;
-                }
-                if let Some(t) = slab.entry_t([mnx[s], mny[s], mnz[s]], [mxx[s], mxy[s], mxz[s]]) {
-                    hits[n_hits] = (t, s as u8);
+                if hit[s] {
+                    hits[n_hits] = (t[s], s as u8);
                     n_hits += 1;
                 }
             }
@@ -286,12 +283,11 @@ impl<C: Coord> Bvh4<C> {
             let mut internal: [u32; 4] = [0; 4];
             let mut n_internal = 0usize;
             for &(_, s) in hits.iter().take(n_hits) {
-                let pos = base + s as usize;
-                let count = self.child_count[pos] as usize;
+                let s = s as usize;
+                let count = node.child_count[s] as usize;
                 if count > 0 {
-                    let first = self.child_index[pos] as usize;
-                    for slot in first..first + count {
-                        let prim = self.prim_order[slot];
+                    let first = node.child_index[s] as usize;
+                    for &prim in &self.prim_order[first..first + count] {
                         stats.wide_prim_tests += 1;
                         if slab.hits_inflating(&aabbs[prim as usize])
                             && on_prim(prim, stats) == Control::Terminate
@@ -300,7 +296,7 @@ impl<C: Coord> Bvh4<C> {
                         }
                     }
                 } else {
-                    internal[n_internal] = self.child_index[pos];
+                    internal[n_internal] = node.child_index[s];
                     n_internal += 1;
                 }
             }
@@ -328,8 +324,7 @@ impl<C: Coord> Bvh4<C> {
         }
         let mut covered = vec![false; self.prim_order.len()];
         let mut child_of = vec![false; self.node_count()];
-        for pos in 0..self.src.len() {
-            let s = self.src[pos];
+        for (pos, &s) in self.src.iter().enumerate() {
             if s == EMPTY {
                 continue;
             }
@@ -337,19 +332,18 @@ impl<C: Coord> Bvh4<C> {
                 .nodes
                 .get(s as usize)
                 .ok_or_else(|| format!("slot {pos} src {s} out of range"))?;
-            let b = self.slot_bounds(pos);
+            let (wide, slot) = (&self.nodes[pos / 4], pos % 4);
+            let b = wide.bounds(slot);
             let want = node.bounds.inflated_conservative();
             if want.min.coords != b.min.coords || want.max.coords != b.max.coords {
                 return Err(format!("slot {pos} bounds diverge from binary node {s}"));
             }
+            let (first, count) = (wide.child_index[slot], wide.child_count[slot]);
             if node.is_leaf() {
-                if self.child_count[pos] != node.count
-                    || self.child_index[pos] != node.right_or_first
-                {
+                if count != node.count || first != node.right_or_first {
                     return Err(format!("slot {pos} leaf range diverges from node {s}"));
                 }
-                let first = self.child_index[pos] as usize;
-                let count = self.child_count[pos] as usize;
+                let (first, count) = (first as usize, count as usize);
                 if first + count > covered.len() {
                     return Err(format!("slot {pos} leaf range runs past prim_order"));
                 }
@@ -359,7 +353,7 @@ impl<C: Coord> Bvh4<C> {
                     }
                 }
             } else {
-                let w = self.child_index[pos] as usize;
+                let w = first as usize;
                 if w >= self.node_count() {
                     return Err(format!("slot {pos} wide child {w} out of range"));
                 }
@@ -386,11 +380,12 @@ impl<C: Coord> Bvh4<C> {
 /// of the per-box loop) and the zero-direction classification of each
 /// axis.
 ///
-/// [`SlabRay::entry_t`] evaluates exactly the expressions of
-/// [`Ray::entry_t`] with the same reciprocal values, so its verdict and
-/// returned parameter are bit-identical — including the NaN behaviour
-/// of near-degenerate directions — which is what keeps the wide kernel
-/// result-equal to the binary one (pinned by
+/// [`SlabRay::entry_t_lanes`] evaluates, per lane, exactly the
+/// expressions of [`Ray::entry_t`] with the same reciprocal values, so
+/// its verdicts and returned parameters are bit-identical — including
+/// the NaN behaviour of near-degenerate directions — which is what keeps
+/// the wide kernel result-equal to the binary one (pinned by
+/// `lanes_match_ray_entry_t` and
 /// `wide_matches_binary_hit_set_and_prim_tests`).
 struct SlabRay<C: Coord> {
     origin: [C; 3],
@@ -422,42 +417,57 @@ impl<C: Coord> SlabRay<C> {
         }
     }
 
-    /// Slab-clips the ray against an *already inflated* box given as
-    /// per-axis corner arrays; returns the clipped entry parameter on a
-    /// hit. Bit-identical to [`Ray::entry_t`] on that box.
-    #[inline]
-    fn entry_t(&self, lo: [C; 3], hi: [C; 3]) -> Option<C> {
-        let mut t0 = self.tmin;
-        let mut t1 = self.tmax;
+    /// Slab-clips the ray against `N` *already inflated* boxes given as
+    /// per-axis lanes (`lo[axis][lane]`); returns every lane's clipped
+    /// entry parameter and hit verdict. Each lane runs straight-line
+    /// code — no lane exits early — so the lanes vectorise.
+    ///
+    /// Per lane, verdict and entry parameter are bit-identical to
+    /// [`Ray::entry_t`] on that box, although that function returns at
+    /// the first axis whose interval is empty: `t0` only grows and `t1`
+    /// only shrinks, so an interval once empty stays empty, and
+    /// `max_c`/`min_c` keep `self` when the other operand is NaN (as
+    /// `(lo − o)·inv` is when `lo == o` and the reciprocal is infinite),
+    /// so NaN never enters either value in either form.
+    #[inline(always)]
+    fn entry_t_lanes<const N: usize>(
+        &self,
+        lo: &[[C; N]; 3],
+        hi: &[[C; N]; 3],
+    ) -> ([C; N], [bool; N]) {
+        let mut t0 = [self.tmin; N];
+        let mut t1 = [self.tmax; N];
+        let mut miss = [false; N];
         for d in 0..3 {
+            let (o, inv) = (self.origin[d], self.inv[d]);
             if self.zero[d] {
-                if self.origin[d] < lo[d] || self.origin[d] > hi[d] {
-                    return None;
+                for s in 0..N {
+                    miss[s] |= (o < lo[d][s]) | (o > hi[d][s]);
                 }
             } else {
-                let mut ta = (lo[d] - self.origin[d]) * self.inv[d];
-                let mut tb = (hi[d] - self.origin[d]) * self.inv[d];
-                if ta > tb {
-                    std::mem::swap(&mut ta, &mut tb);
-                }
-                t0 = t0.max_c(ta);
-                t1 = t1.min_c(tb);
-                if t0 > t1 {
-                    return None;
+                for s in 0..N {
+                    let a = (lo[d][s] - o) * inv;
+                    let b = (hi[d][s] - o) * inv;
+                    let (ta, tb) = if a > b { (b, a) } else { (a, b) };
+                    t0[s] = t0[s].max_c(ta);
+                    t1[s] = t1[s].min_c(tb);
                 }
             }
         }
-        Some(t0)
+        (t0, std::array::from_fn(|s| !(miss[s] | (t0[s] > t1[s]))))
     }
 
     /// Conservative hit test against a *raw* (uninflated) box —
-    /// inflates it first, exactly like [`Ray::hits_aabb_conservative`].
-    /// Used for the primitive tests at wide leaves, where the AABBs
-    /// come straight from the user and carry no baked-in pad.
+    /// inflates it first, exactly like [`Ray::hits_aabb_conservative`] —
+    /// through the lane code at width one. Used for the primitive tests
+    /// at wide leaves, where the AABBs come straight from the user and
+    /// carry no baked-in pad.
     #[inline]
     fn hits_inflating(&self, r: &Rect<C, 3>) -> bool {
-        let infl = r.inflated_conservative();
-        self.entry_t(infl.min.coords, infl.max.coords).is_some()
+        let b = r.inflated_conservative();
+        let lane = |c: [C; 3]| c.map(|v| [v]);
+        self.entry_t_lanes(&lane(b.min.coords), &lane(b.max.coords))
+            .1[0]
     }
 }
 
@@ -591,6 +601,11 @@ mod tests {
                     probe([50.0, 50.0, 0.0]),
                     seg([0.0, 0.0, 0.0], [100.0, 100.0, 0.0], 1.0),
                     seg([100.0, 0.0, 0.0], [-100.0, 100.0, 0.0], 1.0),
+                    // Axis-parallel: zero y and z direction components.
+                    seg([0.0, 50.0, 0.0], [100.0, 0.0, 0.0], 1.0),
+                    // Near-degenerate: a subnormal y component, whose
+                    // reciprocal is infinite.
+                    seg([0.0, 30.0, 0.0], [100.0, f32::from_bits(1), 0.0], 1.0),
                 ];
                 for ray in &rays {
                     let (bin_hits, bin_stats) = collect_hits(|s, sink| {
@@ -621,6 +636,146 @@ mod tests {
         }
     }
 
+    /// A node whose slot `s` holds `bs[s]` verbatim (the lanes are
+    /// taken as already inflated); unoccupied slots keep their bounds
+    /// but are marked [`EMPTY`].
+    fn node_of(bs: &[Rect<f32, 3>; 4], occupied: [bool; 4]) -> Node4<f32> {
+        let mut node = Node4::empty();
+        for (s, b) in bs.iter().enumerate() {
+            for d in 0..3 {
+                node.lo[d][s] = b.min.coords[d];
+                node.hi[d][s] = b.max.coords[d];
+            }
+            node.child_index[s] = if occupied[s] { 0 } else { EMPTY };
+        }
+        node
+    }
+
+    #[test]
+    fn lanes_match_ray_entry_t() {
+        // Differential test of the four-lane box test against the
+        // early-exit reference: every occupied lane's verdict and entry
+        // parameter equal Ray::entry_t on the same box, bit for bit, and
+        // an empty slot never reports. The width-one leaf test agrees
+        // with Ray::hits_aabb_conservative on the raw box.
+        let mut state = 0x2545_F491_4F6C_DD1D_u64;
+        let mut next = move || {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            ((state >> 33) as f64 / 2f64.powi(31)) as f32
+        };
+        let subnormal = f32::from_bits(1);
+        let raw: Vec<Rect<f32, 3>> = (0..64)
+            .map(|i| {
+                let lo = [next() * 100.0, next() * 100.0, next() * 100.0];
+                let r = Rect::xyzxyz(
+                    lo[0],
+                    lo[1],
+                    lo[2],
+                    lo[0] + next() * 30.0,
+                    lo[1] + next() * 30.0,
+                    lo[2] + next() * 30.0,
+                );
+                // Every fourth box is deleted: zero extent.
+                if i % 4 == 3 {
+                    r.degenerated()
+                } else {
+                    r
+                }
+            })
+            .collect();
+        let inflated: Vec<Rect<f32, 3>> = raw.iter().map(|r| r.inflated_conservative()).collect();
+        let b0 = inflated[0];
+        let ray = |o: [f32; 3], d: [f32; 3], tmin: f32, tmax: f32| Ray {
+            tmin,
+            ..seg(o, d, tmax)
+        };
+        // Random segments passing near a random box's center at t = 1,
+        // so that both verdicts are common.
+        let mut rays: Vec<Ray<f32, 3>> = (0..64)
+            .map(|i| {
+                let o: [f32; 3] = std::array::from_fn(|_| next() * 120.0 - 10.0);
+                let c = raw[i % raw.len()].center().coords;
+                let d: [f32; 3] = std::array::from_fn(|k| c[k] - o[k] + next() * 20.0 - 10.0);
+                ray(o, d, next() * 0.5, 1.0 + next() * 0.5)
+            })
+            .collect();
+        rays.extend([
+            // Zero direction components, and a point probe.
+            ray([50.0, 50.0, 50.0], [40.0, 0.0, 0.0], 0.0, 1.0),
+            ray([50.0, 50.0, 50.0], [0.0, -30.0, 0.0], 0.0, 2.0),
+            probe(b0.min.coords),
+            // A probe exactly at a zero-extent box.
+            probe(raw[3].min.coords),
+            // A subnormal component: its reciprocal is infinite, so
+            // (lo − o)·inv is NaN on the axis where the origin sits on
+            // the box face.
+            ray(b0.min.coords, [subnormal, 40.0, 20.0], 0.0, 1.0),
+            ray(b0.max.coords, [-subnormal, -40.0, 0.0], 0.0, 1.0),
+        ]);
+        // Segments touching a box exactly at tmax and exactly at tmin.
+        let touch = [
+            Rect::xyzxyz(5.0f32, 0.0, 0.0, 6.0, 1.0, 1.0),
+            Rect::xyzxyz(-3.0f32, 0.0, 0.0, 2.0, 1.0, 1.0),
+        ];
+        let touching = [
+            (
+                ray([0.0, 0.5, 0.5], [1.0, 0.0, 0.0], 0.0, 5.0),
+                touch[0],
+                5.0,
+            ),
+            (
+                ray([0.0, 0.5, 0.5], [1.0, 0.0, 0.0], 2.0, 4.0),
+                touch[1],
+                2.0,
+            ),
+        ];
+        for (r, b, t) in touching {
+            assert_eq!(r.entry_t(&b), Some(t));
+            rays.push(r);
+        }
+        let mut lanes: Vec<Rect<f32, 3>> = inflated.clone();
+        lanes.extend(raw.iter().copied());
+        lanes.extend(touch);
+        while !lanes.len().is_multiple_of(4) {
+            lanes.push(b0);
+        }
+
+        let (mut hits, mut misses) = (0, 0);
+        for r in &rays {
+            let slab = SlabRay::new(r);
+            for (q, bs) in lanes.chunks_exact(4).enumerate() {
+                let bs: &[Rect<f32, 3>; 4] = bs.try_into().unwrap();
+                // Each group of four fully occupied, then with one of
+                // the sixteen empty-slot patterns.
+                for occupied in [[true; 4], std::array::from_fn(|s| (q >> s) & 1 == 0)] {
+                    let (t, hit) = node_of(bs, occupied).slab_test(&slab);
+                    for s in 0..4 {
+                        if !occupied[s] {
+                            assert!(!hit[s], "empty slot {s} reported a hit");
+                            continue;
+                        }
+                        let want = r.entry_t(&bs[s]);
+                        assert_eq!(hit[s], want.is_some(), "ray {r:?} box {:?}", bs[s]);
+                        if let Some(w) = want {
+                            assert_eq!(t[s].to_bits(), w.to_bits(), "ray {r:?} box {:?}", bs[s]);
+                            hits += 1;
+                        } else {
+                            misses += 1;
+                        }
+                    }
+                }
+            }
+            for b in &raw {
+                assert_eq!(slab.hits_inflating(b), r.hits_aabb_conservative(b));
+            }
+            // A never-filled node: zero bounds, all slots empty.
+            assert_eq!(Node4::<f32>::empty().slab_test(&slab).1, [false; 4]);
+        }
+        assert!(hits > 50 && misses > 50, "{hits} hits, {misses} misses");
+    }
+
     #[test]
     fn wide_halves_node_pops_at_scale() {
         // The perf claim behind the kernel: collapsing two binary levels
@@ -647,16 +802,9 @@ mod tests {
         let bvh = Bvh::build(&bs, BuildQuality::PreferFastTrace, 4);
         let a = Bvh4::collapse(&bvh);
         let b = Bvh4::collapse(&bvh);
-        assert_eq!(a.child_index, b.child_index);
-        assert_eq!(a.child_count, b.child_count);
+        assert_eq!(a.nodes, b.nodes);
         assert_eq!(a.src, b.src);
         assert_eq!(a.prim_order, b.prim_order);
-        let key = |w: &Bvh4<f32>| {
-            (0..w.src.len())
-                .map(|p| w.slot_bounds(p).min.coords)
-                .collect::<Vec<_>>()
-        };
-        assert_eq!(key(&a), key(&b));
     }
 
     #[test]
@@ -730,43 +878,30 @@ mod tests {
         const D: usize = 100;
         let unit = Rect::xyzxyz(0.0f32, 0.0, 0.0, 1.0, 1.0, 0.0);
         let mut wide = Bvh4::<f32> {
-            min_x: Vec::new(),
-            min_y: Vec::new(),
-            min_z: Vec::new(),
-            max_x: Vec::new(),
-            max_y: Vec::new(),
-            max_z: Vec::new(),
-            child_index: Vec::new(),
-            child_count: Vec::new(),
+            nodes: Vec::new(),
             src: Vec::new(),
             prim_order: (0..=D as u32).collect(),
         };
-        // Chain nodes 0..D, stub node for level i at D + 1 + i.
+        // One occupied slot per (child index, leaf count) pair; `src` is
+        // only consulted by refit and validation, so it stays EMPTY.
+        let mut push_node = |slots: &[(usize, u32)]| {
+            let mut node = Node4::empty();
+            for (s, &(child, count)) in slots.iter().enumerate() {
+                node.set_bounds(s, &unit);
+                node.child_index[s] = child as u32;
+                node.child_count[s] = count;
+            }
+            wide.nodes.push(node);
+        };
+        // Chain nodes 0..D (slot 0: next chain node, slot 1: the stub
+        // node for level i at D + 1 + i), then the final chain node D
+        // with a single leaf slot (prim D), then the stubs (prim i).
         for i in 0..D {
-            wide.push_empty_node();
-            let base = i * 4;
-            wide.set_slot_bounds(base, &unit);
-            wide.src[base] = 0; // src is only consulted for refit; 0 is fine
-            wide.child_index[base] = (i + 1) as u32; // chain
-            wide.set_slot_bounds(base + 1, &unit);
-            wide.src[base + 1] = 0;
-            wide.child_index[base + 1] = (D + 1 + i) as u32; // stub
+            push_node(&[(i + 1, 0), (D + 1 + i, 0)]);
         }
-        // Final chain node D: a single leaf slot (prim D).
-        wide.push_empty_node();
-        let base = D * 4;
-        wide.set_slot_bounds(base, &unit);
-        wide.src[base] = 0;
-        wide.child_index[base] = D as u32;
-        wide.child_count[base] = 1;
-        // Stub nodes: one leaf slot each (prim i).
+        push_node(&[(D, 1)]);
         for i in 0..D {
-            wide.push_empty_node();
-            let base = (D + 1 + i) * 4;
-            wide.set_slot_bounds(base, &unit);
-            wide.src[base] = 0;
-            wide.child_index[base] = i as u32;
-            wide.child_count[base] = 1;
+            push_node(&[(i, 1)]);
         }
         let bs = vec![unit; D + 1];
         let mut hits = 0u32;

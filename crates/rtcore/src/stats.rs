@@ -95,8 +95,8 @@ pub struct CostModel {
     /// the same as a binary pop while covering twice the fanout.
     pub ns_per_wide_node_hw: f64,
     /// Per wide (BVH4) node cost of a software walk: four slab tests,
-    /// discounted below 4× the binary price because the SoA child-bounds
-    /// layout makes them a single coalesced cache-line read.
+    /// discounted below 4× the binary price because the packed node
+    /// record makes their bounds one contiguous read.
     pub ns_per_wide_node_sw: f64,
     /// Per primitive ray–AABB test (hardware path).
     pub ns_per_prim_test: f64,
