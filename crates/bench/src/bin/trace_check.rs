@@ -762,6 +762,7 @@ fn check_serve(perf_path: Option<&str>) {
             max_is_per_thread: 0,
             device_ns: obs::PhaseNanos::default(),
             wall_ns: 500_000_000,
+            wall_phase_ns: obs::PhaseNanos::default(),
             ts_ns: 0,
             tid: 0,
         });

@@ -326,6 +326,7 @@ fn health_verdict_follows_slow_query_storm() {
             max_is_per_thread: 0,
             device_ns: obs::PhaseNanos::default(),
             wall_ns: 500_000_000,
+            wall_phase_ns: obs::PhaseNanos::default(),
             ts_ns: 0,
             tid: 0,
         });

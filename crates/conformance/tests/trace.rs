@@ -124,6 +124,41 @@ fn trace_payloads_and_explain_are_thread_invariant() {
     assert!(!plan.contains("\"prediction_error\": null"));
 }
 
+#[test]
+fn trace_records_carry_per_phase_wall_time() {
+    let _g = lock();
+    obs::trace::enable_queries();
+    let index = RTSIndex::with_rects(&rects(600), IndexOptions::default()).expect("valid rects");
+    let mark = obs::trace::next_query_seq();
+    let h = CountingHandler::new();
+    index.range_query(Predicate::Intersects, &query_boxes(72), &h);
+    let h = CountingHandler::new();
+    index.point_query(&points(200), &h);
+    let records = obs::trace::query_records_since(mark);
+    assert_eq!(records.len(), 2, "one record per batch");
+    let (intersects, point) = (&records[0].wall_phase_ns, &records[1].wall_phase_ns);
+    // Every phase a kind runs took wall time, and the phases are
+    // disjoint parts of the batch.
+    assert!(
+        intersects.k_prediction > 0
+            && intersects.build > 0
+            && intersects.forward > 0
+            && intersects.backward > 0,
+        "{intersects:?}"
+    );
+    assert!(
+        point.forward > 0 && point.total() == point.forward,
+        "{point:?}"
+    );
+    for r in &records {
+        assert!(r.wall_phase_ns.total() <= r.wall_ns, "{r:?}");
+        assert!(r
+            .to_json()
+            .contains("\"wall_phase_ns\": {\"k_prediction\": "));
+        assert!(!r.stable_json().contains("wall_phase_ns"));
+    }
+}
+
 /// First top-level `"key": <token>` occurrence in a one-line event.
 fn field<'a>(line: &'a str, key: &str) -> Option<&'a str> {
     let pat = format!("\"{key}\": ");

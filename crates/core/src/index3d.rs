@@ -354,7 +354,11 @@ impl<C: Coord> RTSIndex3<C> {
             points,
             handler: &counted,
         };
-        let launch = self.device.launch::<C, _>(points.len(), |i, session| {
+        let keys = crate::queries::probe_keys(&self.gas.bounds(), points.len(), |i| {
+            let p = points[i];
+            p.is_finite().then_some(p)
+        });
+        let launch = self.device.launch_by_key::<C, _>(&keys, |i, session| {
             let p = points[i];
             if !p.is_finite() {
                 return;
@@ -394,7 +398,11 @@ impl<C: Coord> RTSIndex3<C> {
             queries,
             handler: &counted,
         };
-        let launch = self.device.launch::<C, _>(queries.len(), |i, session| {
+        let keys = crate::queries::probe_keys(&self.gas.bounds(), queries.len(), |i| {
+            let q = &queries[i];
+            is_valid_query3(q).then(|| q.center())
+        });
+        let launch = self.device.launch_by_key::<C, _>(&keys, |i, session| {
             let q = &queries[i];
             if !is_valid_query3(q) {
                 return;
@@ -508,6 +516,8 @@ impl<C: Coord> RTSIndex3<C> {
         let live_ids: Vec<u32> = (0..self.boxes.len() as u32)
             .filter(|&i| !self.deleted[i as usize])
             .collect();
+        // Index order, not `launch_by_key`: the probes walk the per-batch
+        // query GAS, which stays in cache, and read `boxes` in id order.
         let launch = self.device.launch::<C, _>(live_ids.len(), |i, session| {
             let mut rid = live_ids[i];
             let c = self.boxes[rid as usize].center();

@@ -61,7 +61,11 @@ pub(crate) fn run<C: Coord, H: QueryHandler>(
         queries,
         handler: &counted,
     };
-    let launch = snap.device.launch::<C, _>(queries.len(), |i, session| {
+    let keys = super::probe_keys(&snap.ias.bounds(), queries.len(), |i| {
+        let s = &queries[i];
+        is_valid_query(s).then(|| s.center().lift(C::ZERO))
+    });
+    let launch = snap.device.launch_by_key::<C, _>(&keys, |i, session| {
         let s = &queries[i];
         if !is_valid_query(s) {
             return;

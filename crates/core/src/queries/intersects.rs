@@ -219,13 +219,7 @@ fn finish_batch(
     };
     let predicted_pairs = s.map(|s| s * live as f64 * valid as f64);
     let totals = &report.launch.totals;
-    let device_ns = obs::PhaseNanos {
-        k_prediction: report.breakdown.k_prediction.device.as_nanos() as u64,
-        build: report.breakdown.bvh_build.device.as_nanos() as u64,
-        forward: report.breakdown.forward.device.as_nanos() as u64,
-        backward: report.breakdown.backward.device.as_nanos() as u64,
-        dedup: 0,
-    };
+    let device_ns = report.breakdown.nanos(|p| p.device);
     if let Some(plan) = plan {
         *plan = obs::QueryPlan {
             kind: "range_intersects",
@@ -267,6 +261,7 @@ fn finish_batch(
         max_is_per_thread: report.max_is_per_thread(),
         device_ns,
         wall_ns: wall_start.elapsed().as_nanos() as u64,
+        wall_phase_ns: report.breakdown.nanos(|p| p.wall),
         ts_ns: 0,
         tid: 0,
     });
@@ -513,7 +508,15 @@ fn run_inner<C: Coord, H: QueryHandler>(
         handler,
         check_backward,
     };
-    let fwd = snap.device.launch::<C, _>(queries.len(), |i, session| {
+    // Forward rays walk the index: run them in the Morton order of their
+    // diagonals' midpoints. The backward launch below keeps index order —
+    // it walks a per-batch query GAS small enough to stay in cache, reads
+    // `rects[gid]` in id order, and measured slower when sorted.
+    let keys = super::probe_keys(&snap.ias.bounds(), queries.len(), |i| {
+        let s = &queries[i];
+        is_valid_query(s).then(|| s.center().lift(C::ZERO))
+    });
+    let fwd = snap.device.launch_by_key::<C, _>(&keys, |i, session| {
         let s = &queries[i];
         if !is_valid_query(s) {
             return;

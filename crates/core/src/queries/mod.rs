@@ -6,8 +6,27 @@ pub(crate) mod point;
 
 use std::time::Instant;
 
+use geom::{Coord, Point, Rect};
+
 use crate::handlers::QueryHandler;
 use crate::report::QueryReport;
+
+/// Launch keys for [`rtcore::Device::launch_by_key`]: the Morton code of
+/// each ray's probe point within `frame`, the world bounds of what the
+/// rays walk. Launches that walk the index run in this order so that
+/// consecutive rays find its nodes in cache. Items with no probe
+/// (non-finite or invalid, which raygen skips) key `u64::MAX`. Keys
+/// change speed only: results, counters and modeled time are the same
+/// for any keys, and a degenerate frame just yields equal keys.
+pub(crate) fn probe_keys<C: Coord>(
+    frame: &Rect<C, 3>,
+    n: usize,
+    probe: impl Fn(usize) -> Option<Point<C, 3>>,
+) -> Vec<u64> {
+    (0..n)
+        .map(|i| probe(i).map_or(u64::MAX, |p| geom::morton::morton_of_point_3d(&p, frame)))
+        .collect()
+}
 
 /// Counts pairs delivered to the caller's handler without changing
 /// them — feeds `results` in the per-query trace record. The tally is
@@ -56,14 +75,9 @@ pub(crate) fn record_batch_trace(
         is_calls: totals.is_calls,
         nodes_visited: totals.wide_nodes_visited,
         max_is_per_thread: report.max_is_per_thread(),
-        device_ns: obs::PhaseNanos {
-            k_prediction: report.breakdown.k_prediction.device.as_nanos() as u64,
-            build: report.breakdown.bvh_build.device.as_nanos() as u64,
-            forward: report.breakdown.forward.device.as_nanos() as u64,
-            backward: report.breakdown.backward.device.as_nanos() as u64,
-            dedup: 0,
-        },
+        device_ns: report.breakdown.nanos(|p| p.device),
         wall_ns: wall_start.elapsed().as_nanos() as u64,
+        wall_phase_ns: report.breakdown.nanos(|p| p.wall),
         ts_ns: 0,
         tid: 0,
     });

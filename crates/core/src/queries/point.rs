@@ -58,7 +58,11 @@ pub(crate) fn run<C: Coord, H: QueryHandler>(
         points,
         handler: &counted,
     };
-    let launch = snap.device.launch::<C, _>(points.len(), |i, session| {
+    let keys = super::probe_keys(&snap.ias.bounds(), points.len(), |i| {
+        let p = points[i];
+        p.is_finite().then(|| p.lift(C::ZERO))
+    });
+    let launch = snap.device.launch_by_key::<C, _>(&keys, |i, session| {
         let p = points[i];
         if !p.is_finite() {
             return; // NaN queries can never match; skip the cast.

@@ -48,6 +48,19 @@ impl Breakdown {
             .merge(&self.forward)
             .merge(&self.backward)
     }
+
+    /// One clock (`|p| p.device` or `|p| p.wall`) per phase, in the
+    /// nanoseconds a trace record carries.
+    pub(crate) fn nanos(&self, clock: impl Fn(&Phase) -> Duration) -> obs::PhaseNanos {
+        let ns = |p: &Phase| clock(p).as_nanos() as u64;
+        obs::PhaseNanos {
+            k_prediction: ns(&self.k_prediction),
+            build: ns(&self.bvh_build),
+            forward: ns(&self.forward),
+            backward: ns(&self.backward),
+            dedup: 0,
+        }
+    }
 }
 
 /// Result of a query: merged hardware counters plus the phase breakdown.

@@ -449,3 +449,75 @@ fn explain_reports_wide_node_visits() {
     assert!(plan.nodes_visited > 0);
     assert_eq!(plan.nodes_visited, report.launch.totals.wide_nodes_visited);
 }
+
+/// Point and Range-Contains launches run in the Morton order of their
+/// probes within the index's world bounds. A frame with no extent — an
+/// empty index, or every rectangle at one point — must change neither
+/// results nor anything else, for probes inside, outside and non-finite.
+#[test]
+fn launch_order_survives_degenerate_frames() {
+    let points = [
+        Point::xy(2.0f32, 2.0),
+        Point::xy(5.0, 5.0),
+        Point::xy(f32::NAN, 2.0),
+    ];
+    let inverted = Rect {
+        min: Point::xy(3.0, 3.0),
+        max: Point::xy(1.0, 1.0),
+    };
+    let queries = [r(2.0, 2.0, 2.0, 2.0), r(1.0, 1.0, 3.0, 3.0), inverted];
+    for rects in [vec![], vec![r(2.0, 2.0, 2.0, 2.0); 3]] {
+        let index = if rects.is_empty() {
+            RTSIndex::<f32>::new(IndexOptions::default())
+        } else {
+            RTSIndex::with_rects(&rects, IndexOptions::default()).unwrap()
+        };
+        // Every probe list above has three items.
+        let oracle = |hit: &dyn Fn(&Rect<f32, 2>, usize) -> bool| {
+            let mut pairs = Vec::new();
+            for (i, rect) in rects.iter().enumerate() {
+                for q in 0..3 {
+                    if hit(rect, q) {
+                        pairs.push((i as u32, q as u32));
+                    }
+                }
+            }
+            pairs
+        };
+        assert_eq!(
+            index.collect_point_query(&points),
+            oracle(&|rect, q| points[q].is_finite() && rect.contains_point(&points[q]))
+        );
+        assert_eq!(
+            index.collect_range_query(Predicate::Contains, &queries),
+            oracle(&|rect, q| rect.contains_rect(&queries[q]))
+        );
+        assert_eq!(
+            index.collect_range_query(Predicate::Intersects, &queries),
+            oracle(&|rect, q| !queries[q].is_empty() && rect.intersects(&queries[q]))
+        );
+    }
+
+    let index3 = RTSIndex3::build(
+        &[Rect::xyzxyz(1.0f32, 1.0, 1.0, 1.0, 1.0, 1.0); 2],
+        IndexOptions::default(),
+    )
+    .unwrap();
+    let probes = [
+        Point::xyz(1.0f32, 1.0, 1.0),
+        Point::xyz(4.0, 4.0, 4.0),
+        Point::xyz(f32::NAN, 1.0, 1.0),
+    ];
+    assert_eq!(index3.collect_point_query(&probes), vec![(0, 0), (1, 0)]);
+    let boxes = [
+        Rect::xyzxyz(0.0f32, 0.0, 0.0, 2.0, 2.0, 2.0),
+        Rect {
+            min: Point::xyz(2.0, 2.0, 2.0),
+            max: Point::xyz(0.0, 0.0, 0.0),
+        },
+    ];
+    assert_eq!(index3.collect_contains(&boxes), vec![]);
+    let empty3 = RTSIndex3::<f32>::build(&[], IndexOptions::default()).unwrap();
+    assert_eq!(empty3.collect_point_query(&probes), vec![]);
+    assert_eq!(empty3.collect_contains(&boxes), vec![]);
+}

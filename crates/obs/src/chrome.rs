@@ -262,6 +262,7 @@ mod tests {
                     max_is_per_thread: 6,
                     device_ns: PhaseNanos::default(),
                     wall_ns: 3_000,
+                    wall_phase_ns: PhaseNanos::default(),
                     ts_ns: 4_000,
                     tid: 0,
                 },

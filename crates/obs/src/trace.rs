@@ -46,8 +46,9 @@ pub const SLOW_QUERY_RETENTION: usize = 64;
 
 const DEFAULT_CAPACITY: usize = 65_536;
 
-/// Modelled device nanoseconds per query phase. Phases a query kind does
-/// not run (e.g. `backward` for point queries) stay zero.
+/// Nanoseconds per query phase, of modelled device time or of host wall
+/// time. Phases a query kind does not run (e.g. `backward` for point
+/// queries) stay zero.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct PhaseNanos {
     /// Selectivity sampling + `k` sweep (the cost model itself).
@@ -132,6 +133,9 @@ pub struct QueryTrace {
     pub device_ns: PhaseNanos,
     /// Host wall time of the whole batch (Host-class).
     pub wall_ns: u64,
+    /// Host wall time per phase (Host-class): next to `device_ns`, it
+    /// shows where the host and the modelled device spend differently.
+    pub wall_phase_ns: PhaseNanos,
     /// Host timestamp of record emission, ns since the trace origin
     /// (Host-class).
     pub ts_ns: u64,
@@ -149,7 +153,7 @@ impl QueryTrace {
     }
 
     /// The logical payload only — byte-identical at any `LIBRTS_THREADS`
-    /// for the same program. Excludes `seq`, wall time, host timestamp
+    /// for the same program. Excludes `seq`, wall times, host timestamp
     /// and thread id.
     pub fn stable_json(&self) -> String {
         format!(
@@ -180,9 +184,10 @@ impl QueryTrace {
     pub fn to_json(&self) -> String {
         let stable = self.stable_json();
         format!(
-            "{{\"seq\": {}, \"wall_ns\": {}, \"ts_ns\": {}, \"tid\": {}, {}",
+            "{{\"seq\": {}, \"wall_ns\": {}, \"wall_phase_ns\": {}, \"ts_ns\": {}, \"tid\": {}, {}",
             self.seq,
             self.wall_ns,
+            self.wall_phase_ns.json(),
             self.ts_ns,
             self.tid,
             &stable[1..], // splice host fields before the stable ones
@@ -633,6 +638,13 @@ mod tests {
                 dedup: 0,
             },
             wall_ns: 1_234,
+            wall_phase_ns: PhaseNanos {
+                k_prediction: 100,
+                build: 200,
+                forward: 300,
+                backward: 400,
+                dedup: 0,
+            },
             ts_ns: 0,
             tid: 0,
         }
@@ -646,11 +658,16 @@ mod tests {
         assert!(json.contains("\"selectivity\": 0.125"));
         assert!(json.contains("\"device_ns\": {\"k_prediction\": 10"));
         assert!(!json.contains("wall_ns"));
+        assert!(!json.contains("wall_phase_ns"));
+        assert!(!json.contains("\"forward\": 300"));
         assert!(!json.contains("ts_ns"));
         assert!(!json.contains("\"tid\""));
         assert!(!json.contains("\"seq\""));
         let full = dummy("range_intersects", 120).to_json();
         assert!(full.contains("\"wall_ns\": 1234"));
+        assert!(full.contains(
+            "\"wall_phase_ns\": {\"k_prediction\": 100, \"build\": 200, \"forward\": 300, \"backward\": 400, \"dedup\": 0}"
+        ));
         assert!(full.contains("\"kind\": \"range_intersects\""));
     }
 

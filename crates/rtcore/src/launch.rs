@@ -14,6 +14,15 @@
 //! per-worker shards whose merge (u64 sums and maxes) is commutative —
 //! so the returned [`LaunchReport`] is byte-identical whether the fan-out
 //! ran on 1 thread or 64.
+//!
+//! A warp is a group of slots for the cost model, not an order of
+//! execution: warp `w` prices launch indices `32w..32w + 32`, whichever
+//! order the host ran them in. [`Device::launch_by_key`] runs the indices
+//! in a caller-chosen spatial order, so that consecutive rays find the
+//! nodes they walk already in cache, and writes each lane's modeled time
+//! back into its own index's slot. Counter sums and `max_is` do not
+//! depend on order and the warps are the same, so the report — modeled
+//! time included — is identical to `launch`'s.
 
 use std::time::Instant;
 
@@ -141,8 +150,8 @@ fn walk_gas<C: Coord, P: RtProgram<C>>(
 }
 
 /// A per-launch-index handle for casting rays (the `optixTrace` entry
-/// point). Created by [`Device::launch`]; accumulates this thread's
-/// hardware counters.
+/// point). Created by [`Device::launch`] and [`Device::launch_by_key`];
+/// accumulates this thread's hardware counters.
 pub struct TraceSession<'a, C: Coord> {
     stats: RayStats,
     _marker: std::marker::PhantomData<&'a C>,
@@ -211,7 +220,40 @@ impl Device {
         C: Coord,
         F: Fn(usize, &mut TraceSession<'_, C>) + Sync,
     {
+        self.run(Instant::now(), width, None, raygen)
+    }
+
+    /// [`launch`](Self::launch) over `0..keys.len()`, executing the
+    /// indices in ascending `(keys[i], i)` order. `raygen` still receives
+    /// the original index, and the report equals `launch`'s: only the
+    /// order in which the host visits memory changes. The sort runs
+    /// inside the launch, so `wall_time` includes it.
+    pub fn launch_by_key<C, F>(&self, keys: &[u64], raygen: F) -> LaunchReport
+    where
+        C: Coord,
+        F: Fn(usize, &mut TraceSession<'_, C>) + Sync,
+    {
         let start = Instant::now();
+        // Stable, so ties run in index order at any thread count.
+        let mut order: Vec<(u64, usize)> = keys.iter().copied().zip(0..).collect();
+        exec::radix::par_sort_by_u64_key(&mut order);
+        self.run(start, keys.len(), Some(&order), raygen)
+    }
+
+    /// The one launch body: executes position `p` of `0..width` as launch
+    /// index `order[p].1` (`p` itself without an order) and prices every
+    /// lane in its launch index's slot.
+    fn run<C, F>(
+        &self,
+        start: Instant,
+        width: usize,
+        order: Option<&[(u64, usize)]>,
+        raygen: F,
+    ) -> LaunchReport
+    where
+        C: Coord,
+        F: Fn(usize, &mut TraceSession<'_, C>) + Sync,
+    {
         if width == 0 {
             return LaunchReport::default();
         }
@@ -227,12 +269,12 @@ impl Device {
             Some(chaos::FaultAction::Slow(ns)) => injected_ns = ns,
             None => {}
         }
-        // Warps of consecutive launch indices are the parallel work items;
-        // lanes within a warp run sequentially on one worker — mirroring
-        // SIMT scheduling while keeping task overhead low. Lane times land
-        // in order-stable per-warp slots; counters accumulate in per-worker
-        // shards (u64 sums/maxes, commutative), so the report is identical
-        // at any thread count.
+        // Warps of consecutive execution positions are the parallel work
+        // items; lanes within a warp run sequentially on one worker —
+        // mirroring SIMT scheduling while keeping task overhead low. Lane
+        // times land in order-stable per-warp slots; counters accumulate
+        // in per-worker shards (u64 sums/maxes, commutative), so the
+        // report is identical at any thread count.
         let n_warps = width.div_ceil(WARP_SIZE);
         let shards: Shards<LaunchShard> = Shards::new();
         let per_warp: Vec<[f64; WARP_SIZE]> = exec::map_collect(n_warps, WARPS_PER_CHUNK, |w| {
@@ -242,11 +284,12 @@ impl Device {
             let mut max_is = 0u64;
             let lanes = WARP_SIZE.min(width - warp_start);
             for (lane, slot) in lane_times.iter_mut().enumerate().take(lanes) {
+                let pos = warp_start + lane;
                 let mut session = TraceSession {
                     stats: RayStats::default(),
                     _marker: std::marker::PhantomData,
                 };
-                raygen(warp_start + lane, &mut session);
+                raygen(order.map_or(pos, |o| o[pos].1), &mut session);
                 *slot = self
                     .cost_model
                     .ray_time_ns(&session.stats, TraversalBackend::RtCore);
@@ -264,11 +307,16 @@ impl Device {
             acc.stats += shard.stats;
             acc.max_is = acc.max_is.max(shard.max_is);
         });
-        let mut lane_times = Vec::with_capacity(n_warps * WARP_SIZE);
-        for lanes in &per_warp {
-            lane_times.extend_from_slice(lanes);
+        let mut lane_times = per_warp.concat();
+        if let Some(order) = order {
+            // Back from execution position to launch-index slot, so the
+            // cost model's warps are the same 32 indices as `launch`'s.
+            let mut by_index = vec![0.0f64; lane_times.len()];
+            for (&(_, i), &t) in order.iter().zip(&lane_times) {
+                by_index[i] = t;
+            }
+            lane_times = by_index;
         }
-        lane_times.truncate(width.next_multiple_of(WARP_SIZE).min(lane_times.len()));
         let device_time =
             self.cost_model.device_time(&lane_times) + std::time::Duration::from_nanos(injected_ns);
         let report = LaunchReport {
@@ -351,7 +399,7 @@ mod tests {
     use crate::gas::BuildOptions;
     use crate::ias::Instance;
     use geom::{Point, Rect};
-    use std::sync::atomic::{AtomicU64, Ordering};
+    use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
     use std::sync::Arc;
 
     /// A LibRTS-style program: does everything in IS, counts containment.
@@ -586,5 +634,88 @@ mod tests {
         let report = device.launch::<f32, _>(0, |_, _: &mut TraceSession<'_, f32>| {});
         assert_eq!(report.width, 0);
         assert_eq!(report.device_time.as_nanos(), 0);
+    }
+
+    /// Skewed work per launch index: every fourth warp of indices casts
+    /// up to 16 probes per lane, the rest one, so warp maxima — and a
+    /// throughput-bound device time — depend on which indices share a
+    /// warp.
+    fn skewed_lane(
+        gas: &Gas<f32>,
+        program: &CountContains,
+        i: usize,
+        session: &mut TraceSession<'_, f32>,
+    ) {
+        let reps = if (i / WARP_SIZE).is_multiple_of(4) {
+            1 + i % 16
+        } else {
+            1
+        };
+        for r in 0..reps {
+            let mut p = Point::xyz(((i + r) % 20) as f32 + 0.5, (i / 20 % 20) as f32 + 0.5, 0.0);
+            session.trace(gas, program, &Ray::point_probe(p), &mut p);
+        }
+    }
+
+    #[test]
+    fn keyed_launch_reports_what_launch_reports() {
+        let gas = grid_gas();
+        let program = CountContains {
+            hits: AtomicU64::new(0),
+        };
+        let throughput_bound = Device {
+            cost_model: CostModel {
+                concurrent_warps: 1,
+                ..Default::default()
+            },
+        };
+        for threads in [1, 4] {
+            for device in [Device::new(), throughput_bound.clone()] {
+                for width in [0usize, 1, 31, 1000] {
+                    // A seeded shuffle with duplicate keys, and all-equal keys.
+                    let mut state = 0x5EED_u64;
+                    let shuffled: Vec<u64> = (0..width)
+                        .map(|_| {
+                            state = state
+                                .wrapping_mul(6364136223846793005)
+                                .wrapping_add(1442695040888963407);
+                            (state >> 33) % (width as u64 / 4 + 1)
+                        })
+                        .collect();
+                    for keys in [shuffled, vec![7; width]] {
+                        let runs: Vec<AtomicU32> = (0..width).map(|_| AtomicU32::new(0)).collect();
+                        let executed = parking_lot::Mutex::new(Vec::new());
+                        let (base, keyed) = exec::with_threads(threads, || {
+                            let base = device
+                                .launch::<f32, _>(width, |i, s| skewed_lane(&gas, &program, i, s));
+                            let keyed = device.launch_by_key::<f32, _>(&keys, |i, s| {
+                                runs[i].fetch_add(1, Ordering::Relaxed);
+                                executed.lock().push(i);
+                                skewed_lane(&gas, &program, i, s);
+                            });
+                            (base, keyed)
+                        });
+                        let case = format!(
+                            "threads {threads}, width {width}, concurrent_warps {}, keys {:?}",
+                            device.cost_model.concurrent_warps,
+                            &keys[..width.min(8)]
+                        );
+                        assert_eq!(keyed.width, base.width, "{case}");
+                        assert_eq!(keyed.totals, base.totals, "{case}");
+                        assert_eq!(keyed.max_is_per_thread, base.max_is_per_thread, "{case}");
+                        assert_eq!(keyed.device_time, base.device_time, "{case}");
+                        assert!(
+                            runs.iter().all(|r| r.load(Ordering::Relaxed) == 1),
+                            "{case}"
+                        );
+                        if threads == 1 {
+                            let mut expected: Vec<usize> = (0..width).collect();
+                            expected.sort_by_key(|&i| (keys[i], i));
+                            assert_eq!(executed.into_inner(), expected, "{case}");
+                        }
+                    }
+                }
+            }
+        }
     }
 }
