@@ -20,7 +20,7 @@ use rtcore::BuildQuality;
 use std::hint::black_box;
 
 fn opts() -> IndexOptions {
-    IndexOptions::default()
+    bench::figures::paper_options()
 }
 
 fn bench_ablations(c: &mut Criterion) {

@@ -22,7 +22,7 @@ use datasets::queries as qgen;
 use datasets::spider::{generate_rects, SpiderDistribution, SpiderParams};
 use datasets::Dataset;
 use geom::{Point, Rect};
-use librts::{CountingHandler, IndexOptions, Predicate, RTSIndex};
+use librts::{CountingHandler, IndexOptions, MulticastConfig, MulticastMode, Predicate, RTSIndex};
 use rtcore::TraversalBackend;
 
 use crate::config::EvalConfig;
@@ -41,8 +41,20 @@ const PIP_DATASETS: [Dataset; 4] = [
     Dataset::EuParks,
 ];
 
+/// The paper's configuration: the cost model picks the multicast `k`
+/// (a default index runs `k = 1`, the host's fastest choice).
+pub fn paper_options() -> IndexOptions {
+    IndexOptions {
+        multicast: MulticastConfig {
+            mode: MulticastMode::Auto,
+            ..Default::default()
+        },
+        ..Default::default()
+    }
+}
+
 fn librts_index(rects: &[Rect<f32, 2>]) -> RTSIndex<f32> {
-    RTSIndex::with_rects(rects, IndexOptions::default()).expect("generated data is valid")
+    RTSIndex::with_rects(rects, paper_options()).expect("generated data is valid")
 }
 
 thread_local! {

@@ -216,12 +216,13 @@ impl PerfReport {
     /// Runs one representative Range-Intersects batch through
     /// `RTSIndex::explain_intersects` and embeds the full cost-model
     /// decision trace (predicted vs measured `C_R`/`C_I`, prediction
-    /// error) in the artifact.
+    /// error) in the artifact. The index runs the paper's configuration,
+    /// so the cost model samples a selectivity whose error is checked.
     pub fn record_explain(&mut self, cfg: &EvalConfig) {
         let rects = Dataset::UsCensus.generate(cfg.scale, cfg.seed);
         let qs = qgen::intersects_queries(&rects, 200, 0.001, cfg.seed + 7);
-        let index =
-            RTSIndex::with_rects(&rects, IndexOptions::default()).expect("generated data is valid");
+        let index = RTSIndex::with_rects(&rects, figures::paper_options())
+            .expect("generated data is valid");
         let h = CountingHandler::new();
         let plan = index.explain_intersects(&qs, &h);
         println!(
@@ -238,6 +239,20 @@ impl PerfReport {
             plan.actual_pairs,
             plan.prediction_error()
                 .map_or_else(|| "-".into(), |e| format!("{e:.4}")),
+        );
+        let (dev, wall) = (&plan.device_ns, &plan.wall_phase_ns);
+        let ns = |n: u64| fmt_dur(Duration::from_nanos(n));
+        println!(
+            "device / wall per phase: k prediction {} / {}  bvh build {} / {}  \
+             forward {} / {}  backward {} / {}",
+            ns(dev.k_prediction),
+            ns(wall.k_prediction),
+            ns(dev.build),
+            ns(wall.build),
+            ns(dev.forward),
+            ns(wall.forward),
+            ns(dev.backward),
+            ns(wall.backward),
         );
         self.explain = Some(plan);
     }

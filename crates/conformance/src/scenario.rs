@@ -115,6 +115,9 @@ pub enum OptionsSpec {
     FixedK(usize),
     /// Disable multicast entirely.
     MulticastOff,
+    /// The paper's cost-model `k` (`MulticastMode::Auto`); the default
+    /// index runs `k = 1`.
+    MulticastAuto,
     /// Hash-set dedup instead of the paper's forward-check rule.
     HashDedup,
     /// Non-default BVH leaf width.
@@ -136,6 +139,12 @@ impl OptionsSpec {
             OptionsSpec::MulticastOff => {
                 opts.multicast = MulticastConfig {
                     mode: MulticastMode::Off,
+                    ..Default::default()
+                };
+            }
+            OptionsSpec::MulticastAuto => {
+                opts.multicast = MulticastConfig {
+                    mode: MulticastMode::Auto,
                     ..Default::default()
                 };
             }
@@ -186,7 +195,7 @@ fn rq(predicate: Predicate, n: usize, selectivity: f64) -> Op {
 /// every engine plus the oracle, sized to finish well inside a minute.
 #[allow(clippy::vec_init_then_push)] // grouped pushes keep the section comments attached
 pub fn smoke_suite() -> Vec<Scenario> {
-    use OptionsSpec::{Default as Dft, FixedK, HashDedup, LeafSize, MulticastOff};
+    use OptionsSpec::{Default as Dft, FixedK, HashDedup, LeafSize, MulticastAuto, MulticastOff};
     let mut s = Vec::new();
 
     // -- Static builds, one per distribution family × query kind ------
@@ -299,6 +308,18 @@ pub fn smoke_suite() -> Vec<Scenario> {
         vec![
             Insert(Clusters { n: 300 }),
             rq(Predicate::Intersects, 100, 0.02),
+        ],
+    ));
+    // The paper's cost model on `static_clusters_intersects`' program:
+    // its counters must equal that scenario's before the default became
+    // `k = 1`.
+    s.push(Scenario::new(
+        "opts_multicast_auto",
+        111,
+        MulticastAuto,
+        vec![
+            Insert(Clusters { n: 400 }),
+            rq(Predicate::Intersects, 120, 0.02),
         ],
     ));
     s.push(Scenario::new(

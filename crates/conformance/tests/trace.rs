@@ -2,10 +2,10 @@
 //!
 //! The determinism contract extended to the tracing layer:
 //!
-//! - a [`obs::QueryTrace`]'s *stable* payload (`stable_json`) and an
-//!   EXPLAIN plan's full JSON are byte-identical at any
-//!   `LIBRTS_THREADS` — host timestamps, wall time and thread ids are
-//!   explicitly excluded from both renderings;
+//! - the *stable* payloads (`stable_json`) of an [`obs::QueryTrace`]
+//!   and of an EXPLAIN plan are byte-identical at any `LIBRTS_THREADS` —
+//!   host timestamps, wall time and thread ids are explicitly excluded
+//!   from both renderings;
 //! - the Chrome-trace export of a fixed single-threaded workload keeps
 //!   its stable fields (event kinds, slice names, span paths, category
 //!   labels) pinned to a checked-in golden file
@@ -21,6 +21,7 @@ use std::path::Path;
 use std::sync::{Mutex, MutexGuard};
 use std::time::Duration;
 
+use conformance::OptionsSpec;
 use geom::{Point, Rect};
 use librts::{CountingHandler, IndexOptions, Predicate, RTSIndex};
 
@@ -59,9 +60,12 @@ fn points(n: usize) -> Vec<Point<f32, 2>> {
 }
 
 /// Runs the mixed query workload and returns (stable trace payloads,
-/// EXPLAIN JSON).
+/// stable EXPLAIN JSON).
 fn run_workload() -> (Vec<String>, String) {
-    let index = RTSIndex::with_rects(&rects(600), IndexOptions::default()).expect("valid rects");
+    // The paper's configuration, so EXPLAIN has a sampled selectivity
+    // and a cost sweep to pin.
+    let index = RTSIndex::with_rects(&rects(600), OptionsSpec::MulticastAuto.options())
+        .expect("valid rects");
     let mark = obs::trace::next_query_seq();
     let h = CountingHandler::new();
     index.range_query(Predicate::Intersects, &query_boxes(72), &h);
@@ -75,7 +79,7 @@ fn run_workload() -> (Vec<String>, String) {
         .iter()
         .map(|r| r.stable_json())
         .collect();
-    (stable, plan.to_json())
+    (stable, plan.stable_json())
 }
 
 #[test]
@@ -159,6 +163,29 @@ fn trace_records_carry_per_phase_wall_time() {
     }
 }
 
+#[test]
+fn explain_carries_per_phase_wall_time() {
+    let _g = lock();
+    let index = RTSIndex::with_rects(&rects(600), OptionsSpec::MulticastAuto.options())
+        .expect("valid rects");
+    let plan = index.explain_intersects(&query_boxes(72), &CountingHandler::new());
+    let wall = &plan.wall_phase_ns;
+    assert!(
+        wall.k_prediction > 0 && wall.build > 0 && wall.forward > 0 && wall.backward > 0,
+        "{wall:?}"
+    );
+    let json = plan.to_json();
+    assert!(json.contains(&format!(
+        "\"device_ns\": {{\"k_prediction\": {}, ",
+        plan.device_ns.k_prediction
+    )));
+    assert!(json.contains(&format!(
+        "\"wall_phase_ns\": {{\"k_prediction\": {}, ",
+        wall.k_prediction
+    )));
+    assert!(!plan.stable_json().contains("wall_phase_ns"));
+}
+
 /// First top-level `"key": <token>` occurrence in a one-line event.
 fn field<'a>(line: &'a str, key: &str) -> Option<&'a str> {
     let pat = format!("\"{key}\": ");
@@ -195,8 +222,10 @@ fn chrome_trace_stable_fields_match_golden() {
     let stable = exec::with_threads(1, || {
         obs::trace::enable_full();
         obs::trace::clear();
-        let index =
-            RTSIndex::with_rects(&rects(600), IndexOptions::default()).expect("valid rects");
+        // The paper's configuration: the golden pins a k-prediction
+        // phase that charges device time.
+        let index = RTSIndex::with_rects(&rects(600), OptionsSpec::MulticastAuto.options())
+            .expect("valid rects");
         let h = CountingHandler::new();
         index.range_query(Predicate::Intersects, &query_boxes(72), &h);
         let export = obs::chrome::render();

@@ -27,7 +27,10 @@ pub struct IndexOptions {
     /// Max primitives per BVH leaf.
     pub leaf_size: usize,
     /// Ray-Multicast configuration for the Range-Intersects backward
-    /// casting pass (§3.4).
+    /// casting pass (§3.4). Defaults to `k = 1` (`MulticastMode::Off`),
+    /// the fastest choice on this host, where a warp costs the sum of its
+    /// lanes; the paper's cost-model `k` is
+    /// `MulticastConfig { mode: MulticastMode::Auto, ..Default::default() }`.
     pub multicast: MulticastConfig,
     /// Cost model used for simulated device timing.
     pub cost_model: CostModel,

@@ -519,8 +519,9 @@ impl<C: Coord> RTSIndex<C> {
     /// with its predicted `C_R`/`C_I`, the winner, and the measured
     /// counterparts, so prediction error is a queryable number.
     ///
-    /// Every field in the plan is Stable-class; `QueryPlan::to_json` is
-    /// byte-identical at any `LIBRTS_THREADS`.
+    /// Every field in the plan but the per-phase wall time is
+    /// Stable-class; `QueryPlan::stable_json` is byte-identical at any
+    /// `LIBRTS_THREADS`.
     pub fn explain_intersects<H: QueryHandler>(
         &self,
         queries_in: &[Rect<C, 2>],

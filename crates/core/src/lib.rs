@@ -18,7 +18,9 @@
 //! - **Ray Multicast** (§3.4) balances the backward pass: queries are
 //!   spread round-robin over `k` disjoint sub-spaces and each ray is
 //!   duplicated `k` times, bounding per-thread intersections by `N/k`;
-//!   a cost model with sampled selectivity picks `k`.
+//!   a cost model with sampled selectivity picks `k`. A default index
+//!   runs `k = 1`, the fastest choice on this host (see [`multicast`]);
+//!   `MulticastMode::Auto` selects the paper's cost model.
 //!
 //! ## Mutability (§4)
 //!

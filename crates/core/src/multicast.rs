@@ -11,6 +11,16 @@
 //! `C = (1-w)·C_R + w·C_I` with `C_R = |R|·k·log N` (ray-casting cost)
 //! and `C_I = N·|R|·s / k` (per-thread intersection cost), where the
 //! selectivity `s` is estimated by brute-forcing a small sample.
+//!
+//! The model prices a GPU warp, which waits for its slowest lane. This
+//! library's device runs a warp's lanes one after another on one host
+//! worker, so a warp costs the sum of its lanes: the intersection work
+//! `N·|R|·s` is the same at every `k`, and each extra copy only adds a
+//! full walk of the query GAS. On the host the cheapest `k` is therefore
+//! 1, and [`MulticastConfig::default`] is [`MulticastMode::Off`], which
+//! also skips the selectivity sample and the `k` sweep. The paper's
+//! configuration, which every paper figure runs, is
+//! `MulticastConfig { mode: MulticastMode::Auto, ..Default::default() }`.
 
 use geom::{Coord, Point, Rect, Segment};
 
@@ -20,7 +30,7 @@ pub enum MulticastMode {
     /// Disabled: `k = 1`.
     Off,
     /// Cost-model prediction with sampling-based selectivity estimation
-    /// (the paper's default).
+    /// (the paper's configuration).
     Auto,
     /// Force a specific `k` (used by the Fig. 9a sweep).
     Fixed(usize),
@@ -41,6 +51,13 @@ pub enum MulticastAxis {
 }
 
 /// Configuration for Ray Multicast.
+///
+/// The default is [`MulticastMode::Off`] (`k = 1`) with the paper's
+/// `weight`, `sample_size`, `max_k` and `axis`: on this host a warp
+/// costs the sum of its lanes, so every multicast copy is extra
+/// traversal and `k = 1` is the fastest choice (module docs). The
+/// paper's configuration is
+/// `MulticastConfig { mode: MulticastMode::Auto, ..Default::default() }`.
 #[derive(Clone, Copy, Debug)]
 pub struct MulticastConfig {
     /// Selection mode.
@@ -61,7 +78,7 @@ pub struct MulticastConfig {
 impl Default for MulticastConfig {
     fn default() -> Self {
         Self {
-            mode: MulticastMode::Auto,
+            mode: MulticastMode::Off,
             axis: MulticastAxis::default(),
             weight: 0.98,
             sample_size: 192,

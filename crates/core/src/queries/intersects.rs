@@ -220,6 +220,7 @@ fn finish_batch(
     let predicted_pairs = s.map(|s| s * live as f64 * valid as f64);
     let totals = &report.launch.totals;
     let device_ns = report.breakdown.nanos(|p| p.device);
+    let wall_phase_ns = report.breakdown.nanos(|p| p.wall);
     if let Some(plan) = plan {
         *plan = obs::QueryPlan {
             kind: "range_intersects",
@@ -241,6 +242,7 @@ fn finish_batch(
             nodes_visited: totals.wide_nodes_visited,
             actual_ci: report.max_is_per_thread(),
             device_ns,
+            wall_phase_ns,
         };
     }
     obs::trace::record_query(obs::QueryTrace {
@@ -261,7 +263,7 @@ fn finish_batch(
         max_is_per_thread: report.max_is_per_thread(),
         device_ns,
         wall_ns: wall_start.elapsed().as_nanos() as u64,
-        wall_phase_ns: report.breakdown.nanos(|p| p.wall),
+        wall_phase_ns,
         ts_ns: 0,
         tid: 0,
     });

@@ -10,6 +10,17 @@ fn r(a: f32, b: f32, c: f32, d: f32) -> Rect<f32, 2> {
     Rect::xyxy(a, b, c, d)
 }
 
+/// The paper's configuration: the cost model picks the multicast `k`.
+fn paper_options() -> IndexOptions {
+    IndexOptions {
+        multicast: MulticastConfig {
+            mode: MulticastMode::Auto,
+            ..Default::default()
+        },
+        ..Default::default()
+    }
+}
+
 #[test]
 fn empty_batch_insert_is_noop() {
     let mut index = RTSIndex::<f32>::new(IndexOptions::default());
@@ -344,9 +355,9 @@ fn cost_model_uses_live_counts_after_heavy_delete() {
     let survivors: Vec<Rect<f32, 2>> = all.iter().copied().step_by(2).collect();
     let dead: Vec<u32> = (0..400u32).filter(|i| i % 2 == 1).collect();
 
-    let mut churned = RTSIndex::with_rects(&all, IndexOptions::default()).unwrap();
+    let mut churned = RTSIndex::with_rects(&all, paper_options()).unwrap();
     churned.delete(&dead).unwrap();
-    let fresh = RTSIndex::with_rects(&survivors, IndexOptions::default()).unwrap();
+    let fresh = RTSIndex::with_rects(&survivors, paper_options()).unwrap();
 
     let qs: Vec<Rect<f32, 2>> = (0..32)
         .map(|i| {
@@ -380,6 +391,84 @@ fn cost_model_uses_live_counts_after_heavy_delete() {
     let got_f = hf.into_sorted_vec();
     let remapped: Vec<(u32, u32)> = got_f.iter().map(|&(rid, qid)| (rid * 2, qid)).collect();
     assert_eq!(got_c, remapped);
+}
+
+/// A default index serves Range-Intersects at `k = 1`: it samples no
+/// selectivity, charges no k-prediction device time, and casts one
+/// forward ray per valid query and one backward ray per live rectangle —
+/// while returning exactly the pairs of the paper's cost-model `k`.
+#[test]
+fn default_index_runs_range_intersects_at_k1() {
+    let rects: Vec<Rect<f32, 2>> = (0..400)
+        .map(|i| {
+            let x = (i % 20) as f32 * 5.0;
+            let y = (i / 20) as f32 * 5.0;
+            r(x, y, x + 3.0, y + 3.0)
+        })
+        .collect();
+    let mut qs: Vec<Rect<f32, 2>> = (0..64)
+        .map(|i| {
+            let x = (i % 8) as f32 * 12.0;
+            let y = (i / 8) as f32 * 12.0;
+            r(x, y, x + 30.0, y + 30.0)
+        })
+        .collect();
+    qs.push(Rect {
+        min: Point::xy(f32::NAN, 0.0),
+        max: Point::xy(1.0, 1.0),
+    });
+    qs.push(Rect {
+        min: Point::xy(5.0, 5.0),
+        max: Point::xy(1.0, 1.0),
+    });
+    let dead: Vec<u32> = (0..400u32).step_by(7).collect();
+    let build = |opts: IndexOptions| {
+        let mut index = RTSIndex::with_rects(&rects, opts).unwrap();
+        index.delete(&dead).unwrap();
+        index
+    };
+    let mut want = Vec::new();
+    for (rid, rect) in rects.iter().enumerate() {
+        for (qid, q) in qs.iter().enumerate() {
+            if !dead.contains(&(rid as u32)) && rect.intersects(q) {
+                want.push((rid as u32, qid as u32));
+            }
+        }
+    }
+    assert!(!want.is_empty());
+
+    let default = build(IndexOptions::default());
+    let h = CollectingHandler::new();
+    let report = default.range_query(Predicate::Intersects, &qs, &h);
+    assert_eq!(report.chosen_k, 1);
+    assert_eq!(report.estimated_selectivity, None);
+    assert_eq!(
+        report.breakdown.k_prediction.device,
+        std::time::Duration::ZERO
+    );
+    assert_eq!(
+        report.launch.totals.rays,
+        (qs.len() - 2 + default.len()) as u64,
+        "one ray per valid query and per live rectangle"
+    );
+    let got = h.into_sorted_vec();
+    assert_eq!(got, want);
+    let plan = default.explain_intersects(&qs, &CountingHandler::new());
+    assert_eq!(plan.mode, "off");
+    assert_eq!(plan.selectivity, None);
+    assert!(plan.candidates.is_empty());
+
+    // The paper's cost model picks a larger k on this data, so the two
+    // runs really take different backward launches.
+    let paper = build(paper_options());
+    let h = CollectingHandler::new();
+    let report = paper.range_query(Predicate::Intersects, &qs, &h);
+    assert!(
+        report.chosen_k > 1,
+        "cost model chose k = {}",
+        report.chosen_k
+    );
+    assert_eq!(h.into_sorted_vec(), got);
 }
 
 #[test]

@@ -424,7 +424,14 @@ fn f64_index_works() {
 fn reports_have_sensible_timings() {
     let rects = random_rects(1000, 22, 100.0, 5.0);
     let qs = random_rects(200, 23, 100.0, 10.0);
-    let index = RTSIndex::with_rects(&rects, IndexOptions::default()).unwrap();
+    let opts = IndexOptions {
+        multicast: MulticastConfig {
+            mode: MulticastMode::Auto,
+            ..Default::default()
+        },
+        ..Default::default()
+    };
+    let index = RTSIndex::with_rects(&rects, opts).unwrap();
     let h = CountingHandler::new();
     let report = index.range_query(Predicate::Intersects, &qs, &h);
     assert!(report.chosen_k >= 1);

@@ -9,10 +9,12 @@
 //! ray, result pairs) so prediction error is a first-class, queryable
 //! number rather than a vibe.
 //!
-//! Everything in a [`QueryPlan`] is Stable-class: counts, the sampled
-//! selectivity (deterministic strided sampling) and modelled device time.
-//! [`QueryPlan::to_json`] is therefore byte-identical at any
-//! `LIBRTS_THREADS`, which the conformance suite pins.
+//! Every field of a [`QueryPlan`] but one is Stable-class: counts, the
+//! sampled selectivity (deterministic strided sampling) and modelled
+//! device time. The exception is the Host-class per-phase wall time,
+//! which [`QueryPlan::to_json`] renders next to the device time and
+//! [`QueryPlan::stable_json`] leaves out; `stable_json` is byte-identical
+//! at any `LIBRTS_THREADS`, which the conformance suite pins.
 
 use crate::trace::{json_f64, PhaseNanos};
 
@@ -84,6 +86,8 @@ pub struct QueryPlan {
     pub actual_ci: u64,
     /// Modelled device time per phase.
     pub device_ns: PhaseNanos,
+    /// Host wall time per phase (Host-class).
+    pub wall_phase_ns: PhaseNanos,
 }
 
 impl QueryPlan {
@@ -102,9 +106,20 @@ impl QueryPlan {
         })
     }
 
-    /// Deterministic JSON rendering (every field is Stable-class, so the
-    /// whole string is byte-identical at any `LIBRTS_THREADS`).
+    /// Full rendering: the stable payload with the Host-class
+    /// `wall_phase_ns` right after `device_ns`.
     pub fn to_json(&self) -> String {
+        let stable = self.stable_json();
+        format!(
+            "{}, \"wall_phase_ns\": {}}}",
+            &stable[..stable.len() - 1],
+            self.wall_phase_ns.json()
+        )
+    }
+
+    /// Deterministic JSON rendering of the Stable-class fields, which is
+    /// byte-identical at any `LIBRTS_THREADS`.
+    pub fn stable_json(&self) -> String {
         let mut out = String::from("{");
         out.push_str(&format!("\"kind\": \"{}\", ", self.kind));
         out.push_str(&format!("\"batch\": {}, ", self.batch));
@@ -163,14 +178,7 @@ impl QueryPlan {
                 None => "null".into(),
             }
         ));
-        out.push_str(&format!(
-            "\"device_ns\": {{\"k_prediction\": {}, \"build\": {}, \"forward\": {}, \"backward\": {}, \"dedup\": {}}}",
-            self.device_ns.k_prediction,
-            self.device_ns.build,
-            self.device_ns.forward,
-            self.device_ns.backward,
-            self.device_ns.dedup
-        ));
+        out.push_str(&format!("\"device_ns\": {}", self.device_ns.json()));
         out.push('}');
         out
     }
@@ -198,6 +206,7 @@ impl Default for QueryPlan {
             nodes_visited: 0,
             actual_ci: 0,
             device_ns: PhaseNanos::default(),
+            wall_phase_ns: PhaseNanos::default(),
         }
     }
 }
@@ -297,6 +306,41 @@ mod tests {
         assert!(json.contains("\"device_ns\": {\"k_prediction\": 0"));
         // Deterministic: same plan renders the same bytes.
         assert_eq!(json, plan().to_json());
+    }
+
+    #[test]
+    fn stable_json_excludes_wall_phase_time() {
+        let p = QueryPlan {
+            device_ns: PhaseNanos {
+                k_prediction: 10,
+                build: 20,
+                forward: 30,
+                backward: 40,
+                dedup: 0,
+            },
+            wall_phase_ns: PhaseNanos {
+                k_prediction: 100,
+                build: 200,
+                forward: 300,
+                backward: 400,
+                dedup: 0,
+            },
+            ..plan()
+        };
+        let stable = p.stable_json();
+        assert!(!stable.contains("wall_phase_ns"));
+        assert!(stable.ends_with(
+            "\"device_ns\": {\"k_prediction\": 10, \"build\": 20, \"forward\": 30, \"backward\": 40, \"dedup\": 0}}"
+        ));
+        // The full rendering is the stable one with wall time right
+        // after device time.
+        assert_eq!(
+            p.to_json(),
+            format!(
+                "{}, \"wall_phase_ns\": {{\"k_prediction\": 100, \"build\": 200, \"forward\": 300, \"backward\": 400, \"dedup\": 0}}}}",
+                &stable[..stable.len() - 1]
+            )
+        );
     }
 
     #[test]

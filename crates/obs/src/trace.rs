@@ -69,7 +69,7 @@ impl PhaseNanos {
         self.k_prediction + self.build + self.forward + self.backward + self.dedup
     }
 
-    fn json(&self) -> String {
+    pub(crate) fn json(&self) -> String {
         format!(
             "{{\"k_prediction\": {}, \"build\": {}, \"forward\": {}, \"backward\": {}, \"dedup\": {}}}",
             self.k_prediction, self.build, self.forward, self.backward, self.dedup

@@ -40,11 +40,15 @@ fn main() {
         report.wall_time(),
         report.device_time()
     );
-    println!(
-        "         multicast k = {}, estimated selectivity = {:.5}%",
-        report.chosen_k,
-        report.estimated_selectivity.unwrap_or(0.0) * 100.0
-    );
+    // A default index runs k = 1 and samples no selectivity.
+    match report.estimated_selectivity {
+        Some(s) => println!(
+            "         multicast k = {}, estimated selectivity = {:.5}%",
+            report.chosen_k,
+            s * 100.0
+        ),
+        None => println!("         multicast k = {}", report.chosen_k),
+    }
     println!("         {} (building, flood-zone) pairs at risk", at_risk);
 
     // --- Boost-style R-tree (CPU) -------------------------------------------
