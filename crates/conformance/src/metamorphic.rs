@@ -9,10 +9,10 @@
 //! - **Multicast invariance**: the Range-Intersects *result set* is
 //!   independent of the forced multicast width `k` — `k` only
 //!   redistributes work (§3.4), never changes answers.
-//! - **Refit enclosure**: after an in-place BVH refit to mutated
-//!   primitive boxes (§4.2 deletion/update path), every node still
-//!   encloses its subtree — checked via `Bvh::validate` and a full
-//!   no-false-negative traversal.
+//! - **Refit enclosure**: after a GAS refit to mutated primitive boxes
+//!   (§4.2 deletion/update path), in place or copy-on-write, every wide
+//!   slot still encloses what it covers — checked via `Bvh4::validate`
+//!   and a no-false-negative point probe per box through a launch.
 //! - **Dedup equivalence**: the paper's forward-check dedup rule and
 //!   the strawman hash post-process produce the same pair set, equal
 //!   to the brute-force pair set.
@@ -20,12 +20,15 @@
 //!   `Intersects(r, q)`, so the Contains result set is a subset of the
 //!   Intersects result set over the same queries.
 
-use geom::{diagonal_formulation_intersects, Rect};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
+
+use geom::{diagonal_formulation_intersects, Point, Ray, Rect};
 use librts::{
     CollectingHandler, DedupStrategy, IndexOptions, MulticastConfig, MulticastMode, Predicate,
     RTSIndex,
 };
-use rtcore::{BuildQuality, Bvh, Control};
+use rtcore::{BuildOptions, BuildQuality, Device, Gas, HitContext, IsResult, RtProgram};
 
 use crate::oracle::Oracle;
 
@@ -121,32 +124,73 @@ pub fn check_dedup_equivalence(rects: &[Rect<f32, 2>], queries: &[Rect<f32, 2>])
     );
 }
 
-/// Refit enclosure: build a BVH over `before`, refit it to `after`
-/// (same cardinality — the §4.2 degeneration/update shape), and check
-/// both the structural invariant (`validate`) and the behavioural one:
-/// traversing with each refitted box finds that box (no false
-/// negatives after refit).
+/// Refit enclosure: build a GAS over `before`, refit it to `after`
+/// (same cardinality — the §4.2 degeneration/update shape) both ways a
+/// library path does — in place when the handle is unique, by copy when
+/// another holder shares it — and check both the structural invariant
+/// (the wide tree validates against `after`) and the behavioural one:
+/// a point probe launched at each non-degenerate refitted box finds it
+/// (no false negatives after refit). The shared holder must still see
+/// `before`.
 pub fn check_refit_enclosure(before: &[Rect<f32, 3>], after: &[Rect<f32, 3>], leaf_size: usize) {
     assert_eq!(before.len(), after.len(), "refit keeps cardinality");
-    let mut bvh = Bvh::build(before, BuildQuality::PreferFastTrace, leaf_size);
-    bvh.refit(after);
-    bvh.validate(after).expect("refit BVH violates enclosure");
+    let opts = BuildOptions {
+        quality: BuildQuality::PreferFastTrace,
+        leaf_size,
+        ..BuildOptions::default()
+    };
+    let build = || Arc::new(Gas::build(before.to_vec(), opts).expect("finite boxes"));
+    let mut unique = build();
+    Gas::refit_shared(&mut unique, after.to_vec()).expect("unique refit");
+    let mut shared = build();
+    let holder = Arc::clone(&shared);
+    Gas::refit_shared(&mut shared, after.to_vec()).expect("shared refit");
+    assert!(
+        !Arc::ptr_eq(&shared, &holder),
+        "a shared GAS is refit by copy"
+    );
+    assert_eq!(holder.aabbs(), before, "the other holder keeps its boxes");
+    holder
+        .wide()
+        .validate(before)
+        .expect("the other holder's tree still encloses its boxes");
 
-    for (i, b) in after.iter().enumerate() {
-        if b.is_degenerate() {
-            continue;
-        }
-        let mut found = false;
-        let mut stats = rtcore::RayStats::default();
-        let probe = geom::Ray::point_probe(b.center());
-        bvh.traverse(&probe, after, &mut stats, |prim, _| {
-            if prim as usize == i {
-                found = true;
-                return Control::Terminate;
+    for (how, gas) in [("unique", &unique), ("shared", &shared)] {
+        assert_eq!(gas.aabbs(), after, "{how} refit stores the new boxes");
+        gas.wide()
+            .validate(after)
+            .unwrap_or_else(|e| panic!("{how} refit violates enclosure: {e}"));
+        let found: Vec<AtomicBool> = after.iter().map(|_| AtomicBool::new(false)).collect();
+        let program = MarkContaining { found: &found };
+        Device::new().launch::<f32, _>(after.len(), |i, session| {
+            let b = &after[i];
+            if !b.is_degenerate() {
+                let mut center = b.center();
+                session.trace(&**gas, &program, &Ray::point_probe(center), &mut center);
             }
-            Control::Continue
         });
-        assert!(found, "refit BVH lost primitive #{i} ({b:?})");
+        for (i, b) in after.iter().enumerate() {
+            assert!(
+                b.is_degenerate() || found[i].load(Ordering::Relaxed),
+                "{how} refit lost primitive #{i} ({b:?})"
+            );
+        }
+    }
+}
+
+/// Marks every primitive whose box contains the probe point.
+struct MarkContaining<'a> {
+    found: &'a [AtomicBool],
+}
+
+impl RtProgram<f32> for MarkContaining<'_> {
+    type Payload = Point<f32, 3>;
+
+    fn intersection(&self, ctx: &HitContext<'_, f32>, p: &mut Point<f32, 3>) -> IsResult<f32> {
+        if ctx.aabb.contains_point(p) {
+            self.found[ctx.primitive_index as usize].store(true, Ordering::Relaxed);
+        }
+        IsResult::Ignore
     }
 }
 

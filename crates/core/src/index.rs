@@ -422,14 +422,15 @@ impl<C: Coord> RTSIndex<C> {
         let mut touched: Vec<usize> = ids.iter().map(|&id| self.batch_of(id)).collect();
         touched.sort_unstable();
         touched.dedup();
-        // Drop the IAS's Arcs so make_mut refits in place (no deep copy).
+        // Drop the IAS's Arcs so a GAS no published snapshot holds is
+        // refit in place; a held one is refit by copy.
         self.ias = Ias::build(&[]).expect("empty IAS");
         let mut total = 0usize;
         for &b in &touched {
             let lo = self.batch_offsets[b] as usize;
             let hi = self.batch_offsets[b + 1] as usize;
             let fresh: Vec<Rect<C, 3>> = self.rects[lo..hi].iter().map(lift).collect();
-            Arc::make_mut(&mut self.gases[b]).refit(fresh)?;
+            Gas::refit_shared(&mut self.gases[b], fresh)?;
             total += hi - lo;
         }
         Ok(total)

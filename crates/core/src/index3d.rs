@@ -221,13 +221,11 @@ impl<C: Coord> RTSIndex3<C> {
         self.check_ids(ids)?;
         // Copy-on-write: clones sharing this GAS (concurrent readers)
         // keep the pre-delete structure; only this index pays the copy.
-        Arc::make_mut(&mut self.gas)
-            .refit_in_place(|aabbs| {
-                for &id in ids {
-                    aabbs[id as usize] = aabbs[id as usize].degenerated();
-                }
-            })
-            .map_err(IndexError::Accel)?;
+        let mut fresh = self.gas.aabbs().to_vec();
+        for &id in ids {
+            fresh[id as usize] = fresh[id as usize].degenerated();
+        }
+        Gas::refit_shared(&mut self.gas, fresh).map_err(IndexError::Accel)?;
         for &id in ids {
             self.deleted[id as usize] = true;
         }
@@ -273,13 +271,11 @@ impl<C: Coord> RTSIndex3<C> {
                 return Err(IndexError::InvalidRect { index: i });
             }
         }
-        Arc::make_mut(&mut self.gas)
-            .refit_in_place(|aabbs| {
-                for (pos, &id) in ids.iter().enumerate() {
-                    aabbs[id as usize] = boxes[pos];
-                }
-            })
-            .map_err(IndexError::Accel)?;
+        let mut fresh = self.gas.aabbs().to_vec();
+        for (pos, &id) in ids.iter().enumerate() {
+            fresh[id as usize] = boxes[pos];
+        }
+        Gas::refit_shared(&mut self.gas, fresh).map_err(IndexError::Accel)?;
         for (pos, &id) in ids.iter().enumerate() {
             self.boxes[id as usize] = boxes[pos];
             for d in 0..3 {

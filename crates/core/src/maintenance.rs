@@ -42,7 +42,7 @@ use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
 use geom::Coord;
-use rtcore::{Ias, QualityReport, TraversalBackend};
+use rtcore::{Gas, Ias, QualityReport, TraversalBackend};
 
 use crate::index::{lift, RTSIndex};
 use crate::index3d::RTSIndex3;
@@ -468,8 +468,7 @@ impl<C: Coord> RTSIndex<C> {
                             let lo = self.batch_offsets[b] as usize;
                             let hi = self.batch_offsets[b + 1] as usize;
                             let fresh: Vec<_> = self.rects[lo..hi].iter().map(lift).collect();
-                            Arc::make_mut(&mut self.gases[b])
-                                .refit(fresh)
+                            Gas::refit_shared(&mut self.gases[b], fresh)
                                 .expect("cached rectangles are always finite");
                             outcome.refits += 1;
                             m_refits().inc();
@@ -570,8 +569,8 @@ impl<C: Coord> RTSIndex3<C> {
                 outcome.device_time += rebuild;
                 m_rebuilds().inc();
             } else if refit.as_nanos() as f64 <= budget {
-                Arc::make_mut(&mut self.gas)
-                    .refit_in_place(|_| {})
+                let boxes = self.gas.aabbs().to_vec();
+                Gas::refit_shared(&mut self.gas, boxes)
                     .expect("re-tightening existing finite boxes");
                 self.maint.spend(refit);
                 outcome.refits = 1;

@@ -69,14 +69,13 @@ pub fn export(events: &[Event]) -> String {
             Event::Query { trace, .. } => trace.tid,
         })
         .collect();
-    tids.push(0);
     tids.sort_unstable();
     tids.dedup();
     for tid in tids {
-        let name = if tid == 0 {
-            "caller".to_string()
-        } else {
+        let name = if (1..trace::FIRST_CALLER_TID).contains(&tid) {
             format!("exec-worker-{}", tid - 1)
+        } else {
+            format!("caller-{}", tid.saturating_sub(trace::FIRST_CALLER_TID))
         };
         push(
             format!(
@@ -279,6 +278,76 @@ mod tests {
         assert!(json.contains("\"ts\": 2.500"));
         assert!(json.contains("\"name\": \"process_name\""));
         assert!(json.ends_with("]}\n"));
+    }
+
+    /// `(tid, ph, ts)` of every B/E/i event line of an export.
+    fn track_events(json: &str) -> Vec<(u32, String, f64)> {
+        let field = |line: &str, key: &str| {
+            let pat = format!("\"{key}\": ");
+            let rest = &line[line.find(&pat)? + pat.len()..];
+            let end = rest.find([',', '}'])?;
+            Some(rest[..end].trim_matches('"').to_string())
+        };
+        json.lines()
+            .filter_map(|l| {
+                let ph = field(l, "ph")?;
+                if !matches!(ph.as_str(), "B" | "E" | "i") {
+                    return None;
+                }
+                Some((
+                    field(l, "tid")?.parse().ok()?,
+                    ph,
+                    field(l, "ts")?.parse().ok()?,
+                ))
+            })
+            .collect()
+    }
+
+    #[test]
+    fn concurrent_plain_threads_get_clean_tracks() {
+        // Two plain threads tracing at once: each exports on a track of
+        // its own, with balanced B/E and non-decreasing ts.
+        let _guard = crate::test_lock();
+        trace::clear();
+        trace::enable_full();
+        let worker = || {
+            std::thread::spawn(|| {
+                for _ in 0..200 {
+                    let _outer = crate::spans::span("t.chrome.plain");
+                    let _inner = crate::spans::span("inner");
+                }
+                trace::current_tid()
+            })
+        };
+        let (a, b) = (worker(), worker());
+        let tids = [a.join().unwrap(), b.join().unwrap()];
+        trace::disable();
+        let json = render();
+        trace::clear();
+        assert_ne!(tids[0], tids[1]);
+        let events = track_events(&json);
+        for tid in tids {
+            let (mut depth, mut last, mut begins) = (0i64, f64::MIN, 0);
+            for (_, ph, ts) in events.iter().filter(|e| e.0 == tid) {
+                assert!(*ts >= last, "ts regressed on track {tid}: {ts} < {last}");
+                last = *ts;
+                match ph.as_str() {
+                    "B" => {
+                        depth += 1;
+                        begins += 1;
+                    }
+                    "E" => depth -= 1,
+                    _ => {}
+                }
+                assert!(depth >= 0, "E without B on track {tid}");
+            }
+            assert_eq!(depth, 0, "unbalanced track {tid}");
+            assert_eq!(begins, 400, "track {tid} lost spans");
+            assert!(json.contains(&format!(
+                "\"tid\": {tid}, \"name\": \"thread_name\", \"args\": {{\"name\": \"caller-{}\"}}",
+                tid - trace::FIRST_CALLER_TID
+            )));
+        }
     }
 
     #[test]

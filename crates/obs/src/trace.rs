@@ -37,7 +37,7 @@
 //! capped list ([`SLOW_QUERY_RETENTION`] entries, newest kept) and exposed
 //! via [`slow_queries`] for the final snapshot dump.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
@@ -139,8 +139,8 @@ pub struct QueryTrace {
     /// Host timestamp of record emission, ns since the trace origin
     /// (Host-class).
     pub ts_ns: u64,
-    /// Emitting thread: 0 = non-pool caller, `i + 1` = exec worker `i`
-    /// (Host-class).
+    /// Emitting thread: `i + 1` = exec worker `i`, from
+    /// [`FIRST_CALLER_TID`] up = one non-pool thread each (Host-class).
     pub tid: u32,
 }
 
@@ -381,10 +381,21 @@ pub fn now_ns() -> u64 {
     origin().elapsed().as_nanos() as u64
 }
 
-/// Emitting-thread id for trace events: 0 for any non-pool thread,
-/// `i + 1` for exec worker `i`.
+/// Trace id of the first non-pool thread; every exec worker id
+/// (`1..=exec::MAX_THREADS`) is below it.
+pub const FIRST_CALLER_TID: u32 = exec::MAX_THREADS as u32 + 1;
+
+/// Emitting-thread id for trace events: `i + 1` for exec worker `i`;
+/// every other thread (the main thread, a study's readers, the obs
+/// server) gets an id of its own from [`FIRST_CALLER_TID`] up, on its
+/// first call. Each thread's events are in time order, so every track
+/// of an export is too.
 pub fn current_tid() -> u32 {
-    exec::worker_index().map_or(0, |i| i as u32 + 1)
+    static NEXT: AtomicU32 = AtomicU32::new(FIRST_CALLER_TID);
+    thread_local! {
+        static CALLER_TID: u32 = NEXT.fetch_add(1, Ordering::Relaxed);
+    }
+    exec::worker_index().map_or_else(|| CALLER_TID.with(|t| *t), |i| i as u32 + 1)
 }
 
 /// Start collecting [`QueryTrace`] records (cheap; no span events).
@@ -648,6 +659,17 @@ mod tests {
             ts_ns: 0,
             tid: 0,
         }
+    }
+
+    #[test]
+    fn plain_threads_get_distinct_tids() {
+        let spawn = || std::thread::spawn(|| (current_tid(), current_tid()));
+        let (a, b) = (spawn().join().unwrap(), spawn().join().unwrap());
+        assert_eq!(a.0, a.1, "a thread keeps its tid");
+        assert_eq!(b.0, b.1, "a thread keeps its tid");
+        assert_ne!(a.0, b.0, "two plain threads share a track");
+        assert!(a.0 >= FIRST_CALLER_TID && b.0 >= FIRST_CALLER_TID);
+        assert_ne!(current_tid(), a.0);
     }
 
     #[test]

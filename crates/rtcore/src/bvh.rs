@@ -350,8 +350,9 @@ impl Drop for TraversalStack {
     }
 }
 
+/// `true` when `outer` contains `inner` (always, for an empty `inner`).
 #[inline]
-fn enclose<C: Coord>(outer: &Rect<C, 3>, inner: &Rect<C, 3>) -> bool {
+pub(crate) fn enclose<C: Coord>(outer: &Rect<C, 3>, inner: &Rect<C, 3>) -> bool {
     if inner.is_empty() {
         return true;
     }

@@ -89,5 +89,5 @@ pub use gas::{AccelError, BuildOptions, Gas};
 pub use ias::{Ias, Instance};
 pub use launch::{Device, TraceSession, Traversable};
 pub use program::{AnyHitResult, ClosestHit, HitContext, IsResult, RtProgram};
-pub use quality::{analyze, QualityReport};
+pub use quality::QualityReport;
 pub use stats::{CostModel, LaunchReport, RayStats, TraversalBackend, WARP_SIZE};

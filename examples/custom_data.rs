@@ -1,7 +1,7 @@
 //! Bringing your own data: write/read the CSV and WKT formats the
 //! harness accepts, index the loaded rectangles, and inspect BVH
 //! quality before and after heavy updates (the §6.7 effect, measured
-//! with `rtcore::quality`).
+//! by `rtcore::Gas` on every refit).
 //!
 //! ```sh
 //! cargo run --release --example custom_data
@@ -12,7 +12,7 @@ use datasets::polygons::polygons_from_rects;
 use datasets::spider::{generate_parcel_rects, generate_rects, SpiderParams};
 use geom::{Point, Rect};
 use librts::{PipIndex, Predicate, RTSIndex};
-use rtcore::{analyze, BuildQuality, Bvh};
+use rtcore::{BuildOptions, Gas};
 
 fn main() {
     // --- 1. Produce a dataset and round-trip it through CSV --------------
@@ -61,9 +61,8 @@ fn main() {
     // --- 4. Watch refit quality degrade (§6.7) ----------------------------
     let scattered = generate_rects(&SpiderParams::default(), 5_000, 13);
     let lifted: Vec<Rect<f32, 3>> = loaded.iter().map(|r| r.lift(0.0, 0.0)).collect();
-    let fresh = Bvh::build(&lifted, BuildQuality::PreferFastTrace, 4);
-    let before = analyze(&fresh);
-    let mut refit = fresh.clone();
+    let mut gas = Gas::build(lifted.clone(), BuildOptions::default()).unwrap();
+    let before = gas.quality();
     let moved: Vec<Rect<f32, 3>> = lifted
         .iter()
         .enumerate()
@@ -75,8 +74,8 @@ fn main() {
             }
         })
         .collect();
-    refit.refit(&moved);
-    let after = analyze(&refit);
+    gas.refit(moved).unwrap();
+    let after = gas.quality();
     println!(
         "refit after scattering 10% of parcels: SAH cost {:.1} -> {:.1} \
          ({:.2}x), sibling overlap {:.4} -> {:.4}",
