@@ -134,6 +134,7 @@ pub fn run_scenario(scenario: &Scenario) -> RunOutcome {
     };
 
     for (op_idx, op) in scenario.ops.iter().enumerate() {
+        assert_live_bounds(&index, &oracle, scenario.name, op_idx);
         let op_seed = mix_seed(scenario.seed, op_idx as u64);
         match *op {
             Op::Insert(spec) => {
@@ -393,7 +394,22 @@ pub fn run_scenario(scenario: &Scenario) -> RunOutcome {
             }
         }
     }
+    assert_live_bounds(&index, &oracle, scenario.name, scenario.ops.len());
     outcome
+}
+
+/// The index's maintained bounds equal the union of the oracle's live
+/// rectangles (checked before op `op_idx`, and after the last op).
+fn assert_live_bounds(index: &RTSIndex<f32>, oracle: &Oracle<2>, name: &str, op_idx: usize) {
+    let want = oracle
+        .live_rects()
+        .iter()
+        .fold(Rect::empty(), |b, r| b.union(r));
+    assert_eq!(
+        index.bounds(),
+        want,
+        "scenario '{name}' before op {op_idx}: live bounds diverge"
+    );
 }
 
 /// 3-D differential check for a point op: lift the live snapshot and

@@ -50,6 +50,10 @@ pub struct RTSIndex<C: Coord> {
     /// deleted rect from a user-supplied zero-area one).
     pub(crate) deleted: Vec<bool>,
     pub(crate) live: usize,
+    /// Union of the live rectangles (empty when none), kept by every
+    /// mutation so that [`RTSIndex::bounds`] and the Range-Intersects
+    /// frame cost O(1) instead of a scan per call.
+    pub(crate) live_bounds: Rect<C, 2>,
     /// One GAS per insert batch (bottom level).
     pub(crate) gases: Vec<Arc<Gas<C>>>,
     /// Prefix sums: `batch_offsets[i]` is the global id of batch `i`'s
@@ -89,6 +93,7 @@ impl<C: Coord> Clone for RTSIndex<C> {
             rects: self.rects.clone(),
             deleted: self.deleted.clone(),
             live: self.live,
+            live_bounds: self.live_bounds,
             gases: self.gases.clone(),
             batch_offsets: self.batch_offsets.clone(),
             ias: self.ias.clone(),
@@ -111,6 +116,7 @@ impl<C: Coord> RTSIndex<C> {
             rects: Vec::new(),
             deleted: Vec::new(),
             live: 0,
+            live_bounds: Rect::empty(),
             gases: Vec::new(),
             batch_offsets: vec![0],
             ias: Ias::build(&[]).expect("empty IAS build cannot fail"),
@@ -176,15 +182,32 @@ impl<C: Coord> RTSIndex<C> {
             + self.ias.tlas_memory_bytes()
     }
 
-    /// World bounds of the live data (empty rect when empty).
+    /// World bounds of the live data (empty rect when empty). O(1): the
+    /// index keeps them up to date.
     pub fn bounds(&self) -> Rect<C, 2> {
+        self.live_bounds
+    }
+
+    /// Recomputes [`RTSIndex::bounds`] from scratch: O(N), paid only when
+    /// a removed or moved rectangle touched them, and by compaction.
+    fn recompute_live_bounds(&mut self) {
         let mut b = Rect::empty();
         for (r, &dead) in self.rects.iter().zip(&self.deleted) {
             if !dead {
                 b.expand(r);
             }
         }
-        b
+        self.live_bounds = b;
+    }
+
+    /// `true` when one of `ids`' current rectangles reaches the live
+    /// bounds on some side, so removing it may shrink them.
+    fn any_on_live_bounds(&self, ids: &[u32]) -> bool {
+        let b = &self.live_bounds;
+        ids.iter().any(|&id| {
+            let r = &self.rects[id as usize];
+            (0..2).any(|d| r.min.coords[d] <= b.min.coords[d] || r.max.coords[d] >= b.max.coords[d])
+        })
     }
 
     // ------------------------------------------------------------------
@@ -240,6 +263,9 @@ impl<C: Coord> RTSIndex<C> {
         self.rects.extend_from_slice(batch);
         self.deleted.extend(std::iter::repeat_n(false, batch.len()));
         self.live += batch.len();
+        for r in batch {
+            self.live_bounds.expand(r);
+        }
         self.gases.push(Arc::new(gas));
         self.batch_offsets.push(self.rects.len() as u32);
         self.rebuild_ias();
@@ -270,6 +296,7 @@ impl<C: Coord> RTSIndex<C> {
         }
         let start = Instant::now();
         self.check_ids(ids)?;
+        let shrinks = self.any_on_live_bounds(ids);
         let touched = self.apply_and_refit(ids, |rects, slot, _| {
             rects[slot] = rects[slot].degenerated();
         })?;
@@ -277,6 +304,9 @@ impl<C: Coord> RTSIndex<C> {
             self.deleted[id as usize] = true;
         }
         self.live -= ids.len();
+        if shrinks {
+            self.recompute_live_bounds();
+        }
         self.rebuild_ias();
         let model = &self.device.cost_model;
         let device_time = model.refit_time(touched) + model.ias_refit_time(self.gases.len());
@@ -315,9 +345,17 @@ impl<C: Coord> RTSIndex<C> {
                 return Err(IndexError::InvalidRect { index: i });
             }
         }
+        let shrinks = self.any_on_live_bounds(ids);
         let touched = self.apply_and_refit(ids, |cache, slot, pos| {
             cache[slot] = rects[pos];
         })?;
+        if shrinks {
+            self.recompute_live_bounds();
+        } else {
+            for r in rects {
+                self.live_bounds.expand(r);
+            }
+        }
         self.rebuild_ias();
         let model = &self.device.cost_model;
         let device_time = model.refit_time(touched) + model.ias_refit_time(self.gases.len());
@@ -335,10 +373,11 @@ impl<C: Coord> RTSIndex<C> {
     /// the recovery path when refit quality has degraded (§4.2, §6.7).
     pub fn rebuild(&mut self) {
         let _span = obs::span!("index.rebuild");
-        // Drop the IAS's shared references so make_mut does not clone.
+        // Drop the IAS's shared references so a GAS no snapshot holds is
+        // rebuilt in place.
         self.ias = Ias::build(&[]).expect("empty IAS");
         for gas in &mut self.gases {
-            Arc::make_mut(gas).rebuild();
+            Gas::rebuild_shared(gas);
         }
         self.rebuild_ias();
     }
@@ -365,6 +404,7 @@ impl<C: Coord> RTSIndex<C> {
         self.rects = kept;
         self.deleted = vec![false; self.rects.len()];
         self.live = self.rects.len();
+        self.recompute_live_bounds();
         self.maint = MaintenanceCredit::default();
         let target = self.opts.compact_batch_size.max(1);
         self.rebuild_batches(target);
@@ -570,6 +610,7 @@ impl<C: Coord> RTSIndex<C> {
             device: &self.device,
             opts: &self.opts,
             live: self.live,
+            live_bounds: self.live_bounds,
             query_gas_cache: &self.query_gas_cache,
         }
     }
@@ -585,6 +626,8 @@ pub(crate) struct Snapshot<'a, C: Coord> {
     pub device: &'a Device,
     pub opts: &'a IndexOptions,
     pub live: usize,
+    /// [`RTSIndex::bounds`].
+    pub live_bounds: Rect<C, 2>,
     pub query_gas_cache: &'a GasCache<C>,
 }
 

@@ -299,7 +299,7 @@ impl<C: Coord> RTSIndex3<C> {
     /// Id-stable: deleted slots stay degenerated.
     pub fn rebuild(&mut self) {
         let _span = obs::span!("index3.rebuild");
-        Arc::make_mut(&mut self.gas).rebuild();
+        Gas::rebuild_shared(&mut self.gas);
     }
 
     /// Compacts the index, dropping deleted slots and re-tightening the
@@ -431,7 +431,9 @@ impl<C: Coord> RTSIndex3<C> {
     /// query runs one backward-style pass instead: a per-batch GAS is
     /// built over the *query* boxes, each expanded by the index-wide
     /// maximum data half-extent `h_max` (Minkowski upper bound), and
-    /// every data box casts a point probe from its center. Completeness:
+    /// every live data box that touches the union of the queries casts
+    /// a point probe from its center (any other box intersects no
+    /// query). Completeness:
     /// `Intersects(r, q)` ⟹ `center(r) ∈ q ⊕ half(r) ⊆ q ⊕ h_max`, so
     /// the probe's Case-2 hit fires; Definition 3 confirms exactly in
     /// the IS shader. The expansion is conservative when extents vary
@@ -452,8 +454,17 @@ impl<C: Coord> RTSIndex3<C> {
         // must not reach the per-batch GAS build, which rejects
         // non-finite AABBs. Filtering preserves original query ids via
         // the `valid_ids` side table (same fix as the 2-D engine).
+        // `batch_box` is B, the union of the valid queries (unexpanded).
+        let mut batch_box = Rect::empty();
         let valid_ids: Vec<u32> = (0..queries.len() as u32)
-            .filter(|&qi| is_valid_query3(&queries[qi as usize]))
+            .filter(|&qi| {
+                let q = &queries[qi as usize];
+                let valid = is_valid_query3(q);
+                if valid {
+                    batch_box.expand(q);
+                }
+                valid
+            })
             .collect();
         obs::counter("query3.intersects.invalid_queries")
             .add((queries.len() - valid_ids.len()) as u64);
@@ -506,16 +517,18 @@ impl<C: Coord> RTSIndex3<C> {
             queries,
             handler: &counted,
         };
-        // Only live boxes cast probes: after deletions the launch width
-        // shrinks to the live count (identity mapping when none are
-        // deleted, so counters stay byte-identical for delete-free runs).
-        let live_ids: Vec<u32> = (0..self.boxes.len() as u32)
-            .filter(|&i| !self.deleted[i as usize])
+        // Only live boxes that touch B cast probes: a box that misses B
+        // intersects no query, so its probe could only miss. The filter
+        // is a linear scan, not a tree walk: corridor batches span the
+        // map, so nearly every box touches B and a walk costs more than
+        // it skips.
+        let cast_ids: Vec<u32> = (0..self.boxes.len() as u32)
+            .filter(|&i| !self.deleted[i as usize] && self.boxes[i as usize].intersects(&batch_box))
             .collect();
         // Index order, not `launch_by_key`: the probes walk the per-batch
         // query GAS, which stays in cache, and read `boxes` in id order.
-        let launch = self.device.launch::<C, _>(live_ids.len(), |i, session| {
-            let mut rid = live_ids[i];
+        let launch = self.device.launch::<C, _>(cast_ids.len(), |i, session| {
+            let mut rid = cast_ids[i];
             let c = self.boxes[rid as usize].center();
             session.trace(&*query_gas, &program, &Ray::point_probe(c), &mut rid);
         });

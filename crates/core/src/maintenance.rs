@@ -455,12 +455,13 @@ impl<C: Coord> RTSIndex<C> {
                 }
             }
             if !plan.is_empty() {
-                // Drop the IAS's Arcs so make_mut works in place.
+                // Drop the IAS's Arcs so a GAS no snapshot holds is
+                // rebuilt or refit in place.
                 self.ias = Ias::build(&[]).expect("empty IAS");
                 for &(b, action, cost) in &plan {
                     match action {
                         MaintenanceAction::Rebuild => {
-                            Arc::make_mut(&mut self.gases[b]).rebuild();
+                            Gas::rebuild_shared(&mut self.gases[b]);
                             outcome.rebuilds += 1;
                             m_rebuilds().inc();
                         }
@@ -563,7 +564,7 @@ impl<C: Coord> RTSIndex3<C> {
             let rebuild = model.build_time(self.gas.len(), TraversalBackend::RtCore);
             let refit = model.refit_time(self.gas.len());
             if policy.allow_structural && rebuild.as_nanos() as f64 <= budget {
-                Arc::make_mut(&mut self.gas).rebuild();
+                Gas::rebuild_shared(&mut self.gas);
                 self.maint.spend(rebuild);
                 outcome.rebuilds = 1;
                 outcome.device_time += rebuild;
@@ -730,6 +731,81 @@ mod tests {
         let outcome = index.maintain(&funded);
         assert!(outcome.rebuilds >= 1);
         assert!(index.maintenance_report(&funded).within_thresholds(&funded));
+    }
+
+    #[test]
+    fn rebuild_leaves_a_shared_gas_to_its_holder() {
+        // Every per-GAS rebuild (`RTSIndex::rebuild`, maintenance's
+        // Rebuild action, `RTSIndex3::rebuild`) of a GAS a clone still
+        // holds builds a fresh GAS: the clone keeps its own, and the
+        // rebuilt one equals a fresh build over the same boxes.
+        let fresh_quality = |gas: &Gas<f32>| {
+            Gas::build(gas.aabbs().to_vec(), gas.options())
+                .unwrap()
+                .quality()
+        };
+        let probe = Point::xy(0.5, 0.5);
+        for via_maintain in [false, true] {
+            let mut index = RTSIndex::with_rects(&grid(512), IndexOptions::default()).unwrap();
+            for round in 0..4 {
+                scatter(&mut index, 512, round);
+            }
+            let held = index.clone();
+            let before: Vec<Vec<Rect<f32, 3>>> =
+                held.gases.iter().map(|g| g.aabbs().to_vec()).collect();
+            let hits = held.collect_point_query(&[probe]);
+            if via_maintain {
+                assert!(index.maintain(&MaintenancePolicy::eager()).rebuilds >= 1);
+            } else {
+                index.rebuild();
+            }
+            for (b, (mine, theirs)) in index.gases.iter().zip(&held.gases).enumerate() {
+                assert_eq!(theirs.aabbs(), &before[b][..]);
+                assert!(!Arc::ptr_eq(mine, theirs), "batch {b} rebuilt by copy");
+                assert_eq!(mine.quality(), fresh_quality(mine));
+            }
+            assert_eq!(held.collect_point_query(&[probe]), hits);
+            assert_eq!(index.collect_point_query(&[probe]), hits);
+        }
+
+        let boxes: Vec<Rect<f32, 3>> = grid(256).iter().map(|r| r.lift(0.0, 1.0)).collect();
+        let mut index3 = RTSIndex3::build(&boxes, IndexOptions::default()).unwrap();
+        let held = index3.clone();
+        index3.rebuild();
+        assert!(!Arc::ptr_eq(&index3.gas, &held.gas));
+        assert_eq!(held.gas.aabbs(), &boxes[..]);
+        assert_eq!(index3.gas.quality(), fresh_quality(&index3.gas));
+    }
+
+    #[test]
+    fn huge_finite_coordinates_keep_drift_measurable() {
+        // f32 boxes spread over ±1e19: the root's half perimeter
+        // (4e38) overflows f32. Measured in f32, every quality ratio
+        // would be inf / inf = NaN, which no drift threshold exceeds.
+        let big = 1e19f32;
+        let at = |k: usize| {
+            let (x, y) = ((k % 32) as f32, ((k / 32) % 32) as f32);
+            let (x, y) = (-big + x * big / 16.0, -big + y * big / 16.0);
+            r(x, y, x + big / 64.0, y + big / 64.0)
+        };
+        let rects: Vec<Rect<f32, 2>> = (0..1024).map(at).collect();
+        let mut index = RTSIndex::with_rects(&rects, IndexOptions::default()).unwrap();
+        let policy = MaintenancePolicy::eager();
+        let q = index.gases[0].quality();
+        assert!(q.sah_cost.is_finite() && q.sah_cost > 0.0, "{q:?}");
+        assert!(q.sibling_overlap.is_finite());
+        assert!(index.maintenance_report(&policy).within_thresholds(&policy));
+
+        let ids: Vec<u32> = (0..1024).step_by(2).collect();
+        let moved: Vec<Rect<f32, 2>> = ids.iter().map(|&id| at(id as usize * 37 % 1024)).collect();
+        index.update(&ids, &moved).unwrap();
+        let report = index.maintenance_report(&policy);
+        let drift = report.worst_sah_drift();
+        assert!(
+            drift.is_finite() && drift > policy.max_sah_drift,
+            "drift {drift}"
+        );
+        assert!(index.maintain(&policy).rebuilds >= 1);
     }
 
     #[test]

@@ -5,8 +5,11 @@
 //!   the index BVH over `R`; the IS shader keeps `(r, s)` only when the
 //!   diagonal of `s` intersects `r` *and* the anti-diagonal of `r` does
 //!   not intersect `s` (the dedup rule of Algorithm 1 line 19).
-//! - **Backward casting**: anti-diagonals of every indexed rectangle are
-//!   cast against a freshly built BVH over `S`; all hits are kept.
+//! - **Backward casting**: anti-diagonals of the indexed rectangles are
+//!   cast against a freshly built BVH over `S`; all hits are kept. Only
+//!   the live rectangles that touch the batch's box — the union of the
+//!   valid queries — cast: any other one intersects no query, so its ray
+//!   could only miss. A box walk of the index's own trees finds them.
 //!
 //! The backward pass is where the load-imbalance of §3.4 bites, so the
 //! query-side BVH is built in a Ray-Multicast layout: the `|S|` query
@@ -202,6 +205,7 @@ fn finish_batch(
     batch: u64,
     valid: u64,
     live: u64,
+    cast: u64,
     mode: &'static str,
     weight: f64,
     sample_size: u64,
@@ -227,6 +231,7 @@ fn finish_batch(
             batch,
             valid,
             live,
+            cast,
             mode,
             weight,
             sample_size,
@@ -303,6 +308,7 @@ fn run_inner<C: Coord, H: QueryHandler>(
             queries.len() as u64,
             0,
             snap.live as u64,
+            0,
             mode,
             weight,
             sample_size,
@@ -322,6 +328,7 @@ fn run_inner<C: Coord, H: QueryHandler>(
             queries.len() as u64,
             0,
             snap.live as u64,
+            0,
             mode,
             weight,
             sample_size,
@@ -332,25 +339,28 @@ fn run_inner<C: Coord, H: QueryHandler>(
         );
         return Err(e);
     }
-    // Live index slots and valid queries, in stable id order. Both
-    // passes, the cost model, and the query-side GAS work over these
-    // subsets; ids reported to the handler stay the caller's original
-    // ids. When nothing is deleted and every query is valid, both lists
-    // are identity mappings and the pipeline below degenerates to the
-    // unfiltered one (byte-identical counters).
-    let live_ids: Vec<u32> = (0..snap.rects.len() as u32)
-        .filter(|&i| !snap.deleted[i as usize])
-        .collect();
+    // Valid queries in stable id order, and B, their bounding box. The
+    // query-side GAS and the cost model work over this subset; ids
+    // reported to the handler stay the caller's original ids.
+    let mut batch_box = Rect::empty();
     let valid_ids: Vec<u32> = (0..queries.len() as u32)
-        .filter(|&i| is_valid_query(&queries[i as usize]))
+        .filter(|&i| {
+            let q = &queries[i as usize];
+            let valid = is_valid_query(q);
+            if valid {
+                batch_box.expand(q);
+            }
+            valid
+        })
         .collect();
     obs::counter("query.intersects.invalid_queries").add((queries.len() - valid_ids.len()) as u64);
-    if live_ids.is_empty() || valid_ids.is_empty() {
+    if snap.live == 0 || valid_ids.is_empty() {
         finish_batch(
             &report,
             queries.len() as u64,
             valid_ids.len() as u64,
-            live_ids.len() as u64,
+            snap.live as u64,
+            0,
             mode,
             weight,
             sample_size,
@@ -362,6 +372,9 @@ fn run_inner<C: Coord, H: QueryHandler>(
         return Ok(report);
     }
     let model = &snap.device.cost_model;
+    // Rectangles the backward pass cast: set when it launches, so a batch
+    // aborted before then reports 0.
+    let mut cast = 0u64;
 
     // Charges the enclosing deadline scope with a finished phase's
     // modeled device time and aborts the batch at the boundary when the
@@ -376,7 +389,8 @@ fn run_inner<C: Coord, H: QueryHandler>(
                     &report,
                     queries.len() as u64,
                     valid_ids.len() as u64,
-                    live_ids.len() as u64,
+                    snap.live as u64,
+                    cast,
                     mode,
                     weight,
                     sample_size,
@@ -401,6 +415,11 @@ fn run_inner<C: Coord, H: QueryHandler>(
             MulticastMode::Fixed(k) => k.max(1),
             MulticastMode::Auto => {
                 let cfg = &snap.opts.multicast;
+                // The sampler strides over every live rectangle, not over
+                // the cast, so the model sees the paper's |R|.
+                let live_ids: Vec<u32> = (0..snap.rects.len() as u32)
+                    .filter(|&i| !snap.deleted[i as usize])
+                    .collect();
                 let s = estimate_selectivity_ids(
                     snap.rects,
                     &live_ids,
@@ -445,7 +464,9 @@ fn run_inner<C: Coord, H: QueryHandler>(
     // ---- Phase 2: query-side BVH build (timed per §6.1) ---------------
     let t1 = Instant::now();
     let phase_span = obs::span!("bvh_build");
-    let frame = frame_of(snap, queries);
+    // Normalization frame: the live data and the valid queries, so
+    // every placed coordinate is near the unit box.
+    let frame = snap.live_bounds.union(&batch_box);
     let layout = MulticastLayout::with_axis(k, frame, snap.opts.multicast.axis);
     // Sub-space assignment keys on the *original* query id, so adding or
     // removing invalid queries never reshuffles the valid ones.
@@ -481,7 +502,8 @@ fn run_inner<C: Coord, H: QueryHandler>(
                 &report,
                 queries.len() as u64,
                 valid_ids.len() as u64,
-                live_ids.len() as u64,
+                snap.live as u64,
+                cast,
                 mode,
                 weight,
                 sample_size,
@@ -544,13 +566,14 @@ fn run_inner<C: Coord, H: QueryHandler>(
         layout: &layout,
         handler,
     };
-    // Launch width covers live rectangles only — deleted slots used to
-    // occupy `k` dead lanes each, skewing launch sizing (and device-time
-    // modelling) against the live-only counts the cost model was fed.
+    let walk_start = Instant::now();
+    let cast_ids = casters(snap, &batch_box);
+    let walk_wall = walk_start.elapsed();
+    cast = cast_ids.len() as u64;
     let bwd = snap
         .device
-        .launch::<C, _>(live_ids.len() * k, |launch_idx, session| {
-            let gid = live_ids[launch_idx / k] as usize;
+        .launch::<C, _>(cast_ids.len() * k, |launch_idx, session| {
+            let gid = cast_ids[launch_idx / k] as usize;
             let subspace = launch_idx % k;
             let seg = layout.place_segment(subspace, &anti_diagonal(&snap.rects[gid]));
             let z = layout.z_of(subspace);
@@ -566,7 +589,7 @@ fn run_inner<C: Coord, H: QueryHandler>(
     drop(phase_span);
     report.breakdown.backward = Phase {
         device: bwd.device_time,
-        wall: bwd.wall_time,
+        wall: walk_wall + bwd.wall_time,
     };
     report.launch.merge(&bwd);
     span.device(k_pred_device + build_device + fwd.device_time + bwd.device_time);
@@ -578,7 +601,8 @@ fn run_inner<C: Coord, H: QueryHandler>(
         &report,
         queries.len() as u64,
         valid_ids.len() as u64,
-        live_ids.len() as u64,
+        snap.live as u64,
+        cast,
         mode,
         weight,
         sample_size,
@@ -590,19 +614,36 @@ fn run_inner<C: Coord, H: QueryHandler>(
     Ok(report)
 }
 
-/// Normalization frame: bounds of live data and valid queries combined,
-/// so every placed coordinate is near the unit box.
-fn frame_of<C: Coord>(snap: Snapshot<'_, C>, queries: &[Rect<C, 2>]) -> Rect<C, 2> {
-    let mut frame = Rect::empty();
-    for (r, &dead) in snap.rects.iter().zip(snap.deleted) {
-        if !dead {
-            frame.expand(r);
+/// The backward pass's casters: the live ids whose rectangle intersects
+/// `b`, ascending. A box walk of the IAS and of each GAS's wide tree
+/// finds the candidates in O(log N + candidates) and marks them in a
+/// bitset of `rects.len()` bits; reading it back in word order yields
+/// the ids sorted in O(candidates + N/64), so the launch's warps are the
+/// id-order warps minus the culled lanes. Deleted ids are dropped on
+/// the way out: a degenerated box can still lie in `b`.
+///
+/// The rectangles sit at z = 0 and their slots' z bounds are inflated
+/// around it, so `b` is lifted to the whole z range; lifted to z = 0,
+/// no slot would lie inside it and the walk would test every box.
+fn casters<C: Coord>(snap: Snapshot<'_, C>, b: &Rect<C, 2>) -> Vec<u32> {
+    let mut bits = vec![0u64; snap.rects.len().div_ceil(64)];
+    snap.ias.walk_box(&b.lift(C::MIN, C::MAX), |batch, prims| {
+        let first = snap.batch_offsets[batch as usize];
+        for &p in prims {
+            let gid = (first + p) as usize;
+            bits[gid / 64] |= 1 << (gid % 64);
+        }
+    });
+    let mut ids = Vec::new();
+    for (w, &word) in bits.iter().enumerate() {
+        let mut rest = word;
+        while rest != 0 {
+            let gid = w * 64 + rest.trailing_zeros() as usize;
+            if !snap.deleted[gid] {
+                ids.push(gid as u32);
+            }
+            rest &= rest - 1;
         }
     }
-    for q in queries {
-        if is_valid_query(q) {
-            frame.expand(q);
-        }
-    }
-    frame
+    ids
 }

@@ -379,12 +379,24 @@ fn cost_model_uses_live_counts_after_heavy_delete() {
         rc.estimated_selectivity, rf.estimated_selectivity,
         "selectivity must be sampled from live slots only"
     );
-    // Backward launch width is live * k (plus the forward pass over the
-    // queries), not capacity * k.
+    // Dead slots take no lanes: the churned index launches exactly as
+    // wide as the fresh one. The backward launch casts the live
+    // rectangles touching the batch's box, k lanes each, after the
+    // forward pass's one lane per query.
+    assert_eq!(rc.launch.width, rf.launch.width);
+    let batch_box = qs.iter().fold(Rect::empty(), |b, q| b.union(q));
+    let touching = survivors
+        .iter()
+        .filter(|r| r.intersects(&batch_box))
+        .count();
+    assert!(
+        touching < survivors.len(),
+        "the batch covers part of the data"
+    );
     assert_eq!(
         rc.launch.width,
-        qs.len() + churned.len() * rc.chosen_k,
-        "backward launch must cover live rects only"
+        qs.len() + touching * rc.chosen_k,
+        "backward launch must cover live rects touching the batch only"
     );
     // And of course: identical results modulo the id remapping.
     let got_c = hc.into_sorted_vec();

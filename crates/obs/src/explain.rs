@@ -54,8 +54,12 @@ pub struct QueryPlan {
     pub batch: u64,
     /// Queries surviving validity filtering.
     pub valid: u64,
-    /// Live rectangles in the index.
+    /// Live rectangles in the index (the cost model's `|R|`).
     pub live: u64,
+    /// Live rectangles the backward pass cast: those touching the batch's
+    /// box. Equals `live` when the box covers the data; less shows what
+    /// the cull removed.
+    pub cast: u64,
     /// Multicast mode: `auto`, `fixed` or `off`.
     pub mode: &'static str,
     /// Cost-model blend weight `w`.
@@ -125,6 +129,7 @@ impl QueryPlan {
         out.push_str(&format!("\"batch\": {}, ", self.batch));
         out.push_str(&format!("\"valid\": {}, ", self.valid));
         out.push_str(&format!("\"live\": {}, ", self.live));
+        out.push_str(&format!("\"cast\": {}, ", self.cast));
         out.push_str(&format!("\"mode\": \"{}\", ", self.mode));
         out.push_str(&format!("\"weight\": {}, ", json_f64(self.weight)));
         out.push_str(&format!("\"sample_size\": {}, ", self.sample_size));
@@ -191,6 +196,7 @@ impl Default for QueryPlan {
             batch: 0,
             valid: 0,
             live: 0,
+            cast: 0,
             mode: "off",
             weight: 0.0,
             sample_size: 0,
@@ -256,6 +262,7 @@ mod tests {
             batch: 100,
             valid: 99,
             live: 1_000,
+            cast: 600,
             weight: 0.98,
             sample_size: 192,
             selectivity: Some(0.01),
@@ -299,6 +306,7 @@ mod tests {
     fn json_carries_candidates_and_errors() {
         let json = plan().to_json();
         assert!(json.contains("\"mode\": \"auto\""));
+        assert!(json.contains("\"live\": 1000, \"cast\": 600, "));
         assert!(json.contains("\"candidates\": [{\"k\": 1,"));
         assert!(json.contains("\"chosen_k\": 2"));
         assert!(json.contains("\"prediction_error\": 0.1"));

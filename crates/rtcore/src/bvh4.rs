@@ -62,6 +62,12 @@ pub struct Bvh4<C: Coord> {
     /// Leaf-slot → user primitive index permutation (identical to the
     /// source binary BVH's).
     prim_order: Vec<u32>,
+    /// Per wide node, the `prim_order` range `[first, end)` its subtree
+    /// covers. The binary build partitions `prim_order` in place, so every
+    /// subtree is one contiguous range; refit keeps the topology, so the
+    /// ranges are set once, at collapse. [`Bvh4::walk_box`] reads them
+    /// and [`Bvh4::validate`] checks them.
+    ranges: Vec<[u32; 2]>,
 }
 
 /// One wide node: the inflated bounds of its four child slots as
@@ -142,6 +148,7 @@ impl<C: Coord> Bvh4<C> {
         let mut wide = Self {
             nodes: Vec::new(),
             prim_order: bvh.prim_order.clone(),
+            ranges: Vec::new(),
         };
         if bvh.nodes.is_empty() {
             return wide;
@@ -178,6 +185,7 @@ impl<C: Coord> Bvh4<C> {
                 m.node(&union, &raw[..n], &node.child_count[..n]);
             }
         }
+        wide.ranges = prim_ranges(&wide.nodes);
         wide
     }
 
@@ -193,10 +201,10 @@ impl<C: Coord> Bvh4<C> {
         self.nodes.is_empty()
     }
 
-    /// Heap footprint of the wide structure in bytes: the node records
-    /// plus the primitive permutation.
+    /// Heap footprint of the wide structure in bytes: the node records,
+    /// the primitive permutation and the per-node `prim_order` ranges.
     pub fn memory_bytes(&self) -> usize {
-        self.nodes.len() * std::mem::size_of::<Node4<C>>()
+        self.nodes.len() * (std::mem::size_of::<Node4<C>>() + std::mem::size_of::<[u32; 2]>())
             + self.prim_order.len() * std::mem::size_of::<u32>()
     }
 
@@ -390,12 +398,67 @@ impl<C: Coord> Bvh4<C> {
         Control::Continue
     }
 
+    /// Box walk: calls `emit` with every primitive whose box intersects
+    /// `b` (closed, [`Rect::intersects`]), each exactly once, in no
+    /// particular order. Host-side — it models no device time and counts
+    /// no [`RayStats`].
+    ///
+    /// The slots store inflated bounds, which enclose every box below
+    /// them, so two shortcuts are exact: a slot that misses `b` covers
+    /// nothing that touches `b` and is skipped, and a slot inside `b`
+    /// covers only boxes inside `b`, so its whole `prim_order` range is
+    /// emitted as one slice without a test. Only leaf slots straddling
+    /// `b`'s boundary test their boxes, one slice per hit. The shortcut
+    /// assumes boxes with `min <= max` on every axis, as every GAS built
+    /// by this crate's users holds (a deleted box is degenerate, not
+    /// inverted).
+    pub(crate) fn walk_box<F>(&self, b: &Rect<C, 3>, aabbs: &[Rect<C, 3>], mut emit: F)
+    where
+        F: FnMut(&[u32]),
+    {
+        if self.is_empty() {
+            return;
+        }
+        let mut stack = TraversalStack::new();
+        stack.push(0);
+        while let Some(w) = stack.pop() {
+            let node = &self.nodes[w as usize];
+            for s in 0..4 {
+                let child = node.child_index[s];
+                let slot = node.bounds(s);
+                if child == EMPTY || !slot.intersects(b) {
+                    continue;
+                }
+                let (child, count) = (child as usize, node.child_count[s] as usize);
+                let inside = enclose(b, &slot);
+                if count > 0 {
+                    let prims = &self.prim_order[child..child + count];
+                    if inside {
+                        emit(prims);
+                    } else {
+                        for p in prims {
+                            if aabbs[*p as usize].intersects(b) {
+                                emit(std::slice::from_ref(p));
+                            }
+                        }
+                    }
+                } else if inside {
+                    let [first, end] = self.ranges[child];
+                    emit(&self.prim_order[first as usize..end as usize]);
+                } else {
+                    stack.push(child as u32);
+                }
+            }
+        }
+    }
+
     /// Structural validation against the primitive boxes: every
     /// occupied slot's stored bounds enclose what it covers (a leaf
     /// slot's boxes, an internal slot's child-node slots), every child
     /// node comes after its parent, every node but the root is
-    /// referenced exactly once, and the leaves cover each primitive
-    /// exactly once.
+    /// referenced exactly once, the leaves cover each primitive exactly
+    /// once, and each node's stored range is the contiguous span of the
+    /// primitives below it.
     pub fn validate(&self, aabbs: &[Rect<C, 3>]) -> Result<(), String> {
         let mut seen = vec![false; aabbs.len()];
         for &p in &self.prim_order {
@@ -461,8 +524,47 @@ impl<C: Coord> Bvh4<C> {
         if !child_of.iter().skip(1).all(|&c| c) {
             return Err("orphan wide node".into());
         }
+        if self.ranges != prim_ranges(&self.nodes) {
+            return Err("stale prim_order ranges".into());
+        }
+        // Every leaf is inside its ancestors' spans, and each prim slot
+        // is covered once, so a span as long as its subtree's primitive
+        // count holds exactly that subtree.
+        let mut below = vec![0u32; self.node_count()];
+        for (w, node) in self.nodes.iter().enumerate().rev() {
+            for s in (0..4).filter(|&s| node.child_index[s] != EMPTY) {
+                below[w] += match node.child_count[s] {
+                    0 => below[node.child_index[s] as usize],
+                    count => count,
+                };
+            }
+            let [first, end] = self.ranges[w];
+            if end.checked_sub(first) != Some(below[w]) {
+                return Err(format!("node {w} covers a non-contiguous prim range"));
+            }
+        }
         Ok(())
     }
+}
+
+/// Each wide node's `prim_order` span `[first, end)`: the smallest and
+/// largest leaf bounds below it, computed bottom-up (reverse index
+/// order).
+fn prim_ranges<C: Coord>(nodes: &[Node4<C>]) -> Vec<[u32; 2]> {
+    let mut ranges = vec![[u32::MAX, 0]; nodes.len()];
+    for (w, node) in nodes.iter().enumerate().rev() {
+        let mut span = [u32::MAX, 0];
+        for s in (0..4).filter(|&s| node.child_index[s] != EMPTY) {
+            let (child, count) = (node.child_index[s], node.child_count[s]);
+            let [first, end] = match count {
+                0 => ranges[child as usize],
+                _ => [child, child + count],
+            };
+            span = [span[0].min(first), span[1].max(end)];
+        }
+        ranges[w] = span;
+    }
+    ranges
 }
 
 /// Per-ray slab-test state, computed once per traversal: the reciprocal
@@ -1060,6 +1162,7 @@ mod tests {
         let mut wide = Bvh4::<f32> {
             nodes: Vec::new(),
             prim_order: (0..=D as u32).collect(),
+            ranges: Vec::new(),
         };
         // One occupied slot per (child index, leaf count) pair.
         let mut push_node = |slots: &[(usize, u32)]| {

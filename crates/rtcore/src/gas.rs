@@ -256,8 +256,30 @@ impl<C: Coord> Gas<C> {
         *self = Self::build_checked(aabbs, self.options);
     }
 
+    /// [`Gas::rebuild`] behind a shared handle: in place when `gas` is
+    /// the only handle, otherwise `gas` is pointed at a fresh build over
+    /// a copy of the boxes. Only the boxes are copied — not the tree the
+    /// rebuild replaces — and other holders keep the old GAS.
+    pub fn rebuild_shared(gas: &mut Arc<Self>) {
+        match Arc::get_mut(gas) {
+            Some(unique) => unique.rebuild(),
+            None => *gas = Arc::new(Self::build_checked(gas.aabbs.clone(), gas.options)),
+        }
+    }
+
+    /// Box walk: calls `emit` with slices of the primitives whose box
+    /// intersects `b` (closed, [`Rect::intersects`]), each primitive
+    /// exactly once, in no particular order. A subtree inside `b` comes
+    /// out whole, untested, which is exact for boxes with `min <= max`.
+    /// Host-side: it models no device time and counts no
+    /// [`crate::RayStats`].
+    pub fn walk_box<F: FnMut(&[u32])>(&self, b: &Rect<C, 3>, emit: F) {
+        self.wide.walk_box(b, &self.aabbs, emit);
+    }
+
     /// Device-memory footprint of this GAS in bytes: the primitive AABB
-    /// array plus the wide tree's nodes and primitive permutation. This
+    /// array plus the wide tree's nodes, primitive permutation and
+    /// per-node `prim_order` ranges. This
     /// is the quantity behind §6.9's observation that RayJoin "runs out
     /// of memory" — its primitive count is the exploded segment count.
     pub fn memory_bytes(&self) -> usize {
@@ -575,8 +597,9 @@ mod tests {
         for n in [0usize, 1, 64, 1000] {
             let gas = Gas::build(scattered(n, 5), BuildOptions::default()).unwrap();
             let wide = gas.wide();
+            // Per wide node: its 128-byte record and its 8-byte prim range.
             let want = n * std::mem::size_of::<Rect<f32, 3>>()
-                + wide.node_count() * 128
+                + wide.node_count() * (128 + 8)
                 + n * std::mem::size_of::<u32>();
             assert_eq!(gas.memory_bytes(), want, "n = {n}");
         }

@@ -58,7 +58,13 @@ pub(crate) struct InstanceRecord<C: Coord> {
     /// World-to-object transform (inverse of the instance SRT); `None`
     /// for identity (fast path: no ray transform).
     pub world_to_object: Option<Srt<C>>,
+    /// The instance SRT itself, `None` for identity: the box walk maps
+    /// a transformed instance's boxes to world space with it.
+    pub object_to_world: Option<Srt<C>>,
     pub instance_id: u32,
+    /// Rays never reach an invisible instance (its TLAS box is an
+    /// unhittable sentinel), and the box walk skips it.
+    pub visible: bool,
 }
 
 /// A built IAS. Holds shared references to its GASes, so GASes can be
@@ -92,18 +98,21 @@ impl<C: Coord> Ias<C> {
             };
             // Empty bounds (empty GAS or invisible) are legal; the TLAS
             // builder keeps them as unhittable leaves.
-            let world_to_object = if inst.transform.is_identity() {
-                None
-            } else {
-                Some(inst.transform.inverse().ok_or(AccelError::NonFiniteAabb {
-                    index: records.len(),
-                })?)
-            };
+            let object_to_world = (!inst.transform.is_identity()).then_some(inst.transform);
+            let world_to_object = object_to_world
+                .map(|t| {
+                    t.inverse().ok_or(AccelError::NonFiniteAabb {
+                        index: records.len(),
+                    })
+                })
+                .transpose()?;
             world_bounds.push(sanitize_empty(wb));
             records.push(InstanceRecord {
                 gas: Arc::clone(&inst.gas),
                 world_to_object,
+                object_to_world,
                 instance_id: inst.instance_id,
+                visible: inst.visible,
             });
         }
         // IAS builds are intentionally cheap: fast-build quality, leaf=1.
@@ -134,6 +143,35 @@ impl<C: Coord> Ias<C> {
     #[inline]
     pub fn bounds(&self) -> Rect<C, 3> {
         self.bounds
+    }
+
+    /// Box walk over the scene: calls `emit(instance_id, prims)` for the
+    /// primitives of every visible instance whose world-space box
+    /// intersects `b` (closed), each primitive exactly once. The TLAS
+    /// and each identity instance's GAS are walked with
+    /// `Bvh4::walk_box`; a transformed instance (LibRTS never makes
+    /// one) tests its boxes one by one, mapped to world space. Host-side:
+    /// no device time, no [`crate::RayStats`].
+    pub fn walk_box<F: FnMut(u32, &[u32])>(&self, b: &Rect<C, 3>, mut emit: F) {
+        self.tlas.walk_box(b, &self.world_bounds, |instances| {
+            for &i in instances {
+                let rec = &self.records[i as usize];
+                if !rec.visible {
+                    continue;
+                }
+                let id = rec.instance_id;
+                match &rec.object_to_world {
+                    None => rec.gas.walk_box(b, |prims| emit(id, prims)),
+                    Some(t) => {
+                        for (p, aabb) in (0u32..).zip(rec.gas.aabbs()) {
+                            if t.apply_aabb(aabb).intersects(b) {
+                                emit(id, &[p]);
+                            }
+                        }
+                    }
+                }
+            }
+        });
     }
 
     /// Total primitives across all instanced GASes.

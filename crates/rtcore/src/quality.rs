@@ -51,25 +51,30 @@ impl Measure {
     /// Adds a wide node with raw bounds `union`: `slots` are the raw
     /// bounds of its occupied slots, `counts` their primitive counts (0
     /// for an internal slot).
+    ///
+    /// Measures are taken in `f64`: a finite `f32` box can have a half
+    /// perimeter or an area past `f32::MAX` (extents near 1e19), and an
+    /// infinite root measure would turn every ratio into NaN.
     pub(crate) fn node<C: Coord>(
         &mut self,
         union: &Rect<C, 3>,
         slots: &[Rect<C, 3>],
         counts: &[u32],
     ) {
-        self.sah += union.half_perimeter().to_f64() * slots.len() as f64;
+        let union = union.to_f64();
+        self.sah += union.half_perimeter() * slots.len() as f64;
         for (s, &count) in slots.iter().zip(counts) {
             if count > 0 {
-                self.sah += s.half_perimeter().to_f64() * count as f64;
+                self.sah += s.to_f64().half_perimeter() * count as f64;
             }
         }
         // Every slot lies inside `union`, so when the union has no area
         // (flat data, such as lifted 2-D rectangles) neither has any
         // pairwise overlap: skipping the pairs adds exactly the same 0.
-        if union.area() > C::ZERO {
+        if union.area() > 0.0 {
             for (i, s) in slots.iter().enumerate() {
                 for t in &slots[i + 1..] {
-                    self.overlap += s.overlap_area(t).to_f64();
+                    self.overlap += s.to_f64().overlap_area(&t.to_f64());
                 }
             }
         }
@@ -83,8 +88,8 @@ impl Measure {
             return QualityReport::default();
         }
         QualityReport {
-            sah_cost: self.sah / root.half_perimeter().to_f64().max(1e-30),
-            sibling_overlap: self.overlap / root.area().to_f64().max(1e-30),
+            sah_cost: self.sah / root.to_f64().half_perimeter().max(1e-30),
+            sibling_overlap: self.overlap / root.to_f64().area().max(1e-30),
             ..shape
         }
     }
