@@ -317,8 +317,8 @@ impl<E> SnapCell<E> {
 
 /// An immutable, `Arc`-backed view of a published engine state.
 ///
-/// Dereferences to the wrapped engine (`RTSIndex<C>` or
-/// `RTSIndex3<C>`), so every read-only method — queries, `len`,
+/// Dereferences to the wrapped engine (an [`RTSIndex`] of either
+/// dimension), so every read-only method — queries, `len`,
 /// `memory_bytes`, EXPLAIN — is available directly on the handle. The
 /// snapshot never changes underneath the holder: a writer publishing a
 /// newer version leaves this handle (and its results) untouched.
@@ -421,7 +421,7 @@ struct WriterState<E> {
     version: u64,
 }
 
-/// Shared plumbing of [`ConcurrentIndex`] and [`ConcurrentIndex3`].
+/// The writer and publication plumbing of [`ConcurrentIndex`].
 struct SnapCore<E> {
     cell: SnapCell<E>,
     /// Mirror of the newest published version, shared with handles for
@@ -590,7 +590,7 @@ const MAX_PUBLISH_ATTEMPTS: u32 = 4;
 const PUBLISH_BACKOFF_BASE_NS: u64 = 1 << 20;
 
 // ---------------------------------------------------------------------------
-// ConcurrentIndex (2-D)
+// ConcurrentIndex
 // ---------------------------------------------------------------------------
 
 /// One operation of an atomic mutation batch for
@@ -616,9 +616,9 @@ pub enum BatchOp<C: Coord> {
     Rebuild,
 }
 
-/// A concurrently readable [`RTSIndex`]: lock-free snapshot reads, one
-/// serialized writer, epoch-style publication (see the
-/// [module docs](self)).
+/// A concurrently readable [`RTSIndex`] of either dimension: lock-free
+/// snapshot reads, one serialized writer, epoch-style publication (see
+/// the [module docs](self)). [`ConcurrentIndex3`] is the 3-D one.
 ///
 /// All methods take `&self`; the type is `Sync`, so one instance can be
 /// shared by reference (or `Arc`) across any number of reader and
@@ -638,8 +638,8 @@ pub enum BatchOp<C: Coord> {
 /// assert_eq!(snap.collect_point_query(&[Point::xy(5.0, 5.0)]), vec![(0, 0)]);
 /// assert!(index.snapshot().collect_point_query(&[Point::xy(5.0, 5.0)]).is_empty());
 /// ```
-pub struct ConcurrentIndex<C: Coord> {
-    core: SnapCore<RTSIndex<C>>,
+pub struct ConcurrentIndex<C: Coord, const D: usize = 2> {
+    core: SnapCore<RTSIndex<C, D>>,
     /// Automatic-maintenance policy; `None` (the default) disables the
     /// driver entirely and the writer loop behaves exactly as before.
     policy: Mutex<Option<MaintenancePolicy>>,
@@ -647,24 +647,22 @@ pub struct ConcurrentIndex<C: Coord> {
     decisions: Mutex<VecDeque<obs::MaintenanceDecision>>,
 }
 
+/// A concurrently readable [`RTSIndex3`]: [`ConcurrentIndex`] with
+/// `D = 3`, the same snapshot contract and maintenance driver. Its
+/// single GAS sits behind an `Arc` like every 2-D batch, so a publish
+/// shares it and the writer's refit copies it on write without
+/// disturbing published snapshots.
+pub type ConcurrentIndex3<C> = ConcurrentIndex<C, 3>;
+
 impl<C: Coord> Default for ConcurrentIndex<C> {
     fn default() -> Self {
         Self::new(IndexOptions::default())
     }
 }
 
-impl<C: Coord> ConcurrentIndex<C> {
-    /// Creates an empty concurrent index; version 0 is the empty state.
-    pub fn new(opts: IndexOptions) -> Self {
-        Self {
-            core: SnapCore::new(RTSIndex::new(opts)),
-            policy: Mutex::new(None),
-            decisions: Mutex::new(VecDeque::new()),
-        }
-    }
-
+impl<C: Coord, const D: usize> ConcurrentIndex<C, D> {
     /// Wraps an existing index; its current state becomes version 0.
-    pub fn from_index(index: RTSIndex<C>) -> Self {
+    pub fn from_index(index: RTSIndex<C, D>) -> Self {
         Self {
             core: SnapCore::new(index),
             policy: Mutex::new(None),
@@ -713,14 +711,7 @@ impl<C: Coord> ConcurrentIndex<C> {
         let Some(policy) = mode_clamped(policy) else {
             return MaintenanceOutcome::default();
         };
-        let mut outcome = MaintenanceOutcome::default();
-        if let Some(((), version)) = self.core.mutate_if(|next| {
-            outcome = next.maintain(&policy);
-            outcome.acted().then_some(())
-        }) {
-            record_decision(&self.decisions, &outcome, version);
-        }
-        outcome
+        self.run_maintenance(&policy)
     }
 
     /// Quality drift and amortization state of the newest published
@@ -734,22 +725,22 @@ impl<C: Coord> ConcurrentIndex<C> {
     /// the writer after each successful mutation batch. Clamped by the
     /// serving mode like [`maintain_with`](Self::maintain_with).
     fn auto_maintain(&self) {
-        let Some(policy) = self.maintenance_policy().as_ref().and_then(mode_clamped) else {
-            return;
-        };
+        if let Some(policy) = self.maintenance_policy().as_ref().and_then(mode_clamped) {
+            self.run_maintenance(&policy);
+        }
+    }
+
+    /// One maintenance pass on the private successor, published (and
+    /// its decision recorded for `/index`) only when it acted.
+    fn run_maintenance(&self, policy: &MaintenancePolicy) -> MaintenanceOutcome {
         let mut outcome = MaintenanceOutcome::default();
         if let Some(((), version)) = self.core.mutate_if(|next| {
-            outcome = next.maintain(&policy);
+            outcome = next.maintain(policy);
             outcome.acted().then_some(())
         }) {
             record_decision(&self.decisions, &outcome, version);
         }
-    }
-
-    /// Convenience: creates a concurrent index pre-loaded with one
-    /// batch (the batch is version 0, not a separate publish).
-    pub fn with_rects(rects: &[Rect<C, 2>], opts: IndexOptions) -> Result<Self, IndexError> {
-        Ok(Self::from_index(RTSIndex::with_rects(rects, opts)?))
+        outcome
     }
 
     /// Acquires a read snapshot of the newest published version.
@@ -757,7 +748,7 @@ impl<C: Coord> ConcurrentIndex<C> {
     /// number of concurrent publishes. Never shed — use
     /// [`snapshot_with_priority`](Self::snapshot_with_priority) for
     /// admission-controlled reads.
-    pub fn snapshot(&self) -> SnapshotRef<RTSIndex<C>> {
+    pub fn snapshot(&self) -> SnapshotRef<RTSIndex<C, D>> {
         self.core.snapshot()
     }
 
@@ -768,7 +759,7 @@ impl<C: Coord> ConcurrentIndex<C> {
     pub fn snapshot_with_priority(
         &self,
         priority: crate::admission::Priority,
-    ) -> Result<SnapshotRef<RTSIndex<C>>, IndexError> {
+    ) -> Result<SnapshotRef<RTSIndex<C, D>>, IndexError> {
         crate::admission::admit_read(priority)?;
         Ok(self.core.snapshot())
     }
@@ -796,19 +787,6 @@ impl<C: Coord> ConcurrentIndex<C> {
         self.snapshot().memory_bytes()
     }
 
-    /// Inserts a batch and publishes the successor (see
-    /// [`RTSIndex::insert`]). Returns the new ids; on error nothing is
-    /// published. `Err(ReadOnly)` when the serving mode rejects writes.
-    pub fn insert(&self, batch: &[Rect<C, 2>]) -> Result<Range<u32>, IndexError> {
-        crate::admission::admit_write()?;
-        let out = self
-            .core
-            .mutate(|next| next.insert(batch))
-            .map(|(r, _)| r)?;
-        self.auto_maintain();
-        Ok(out)
-    }
-
     /// Deletes by id and publishes the successor (see
     /// [`RTSIndex::delete`]).
     pub fn delete(&self, ids: &[u32]) -> Result<MutationReport, IndexError> {
@@ -820,7 +798,7 @@ impl<C: Coord> ConcurrentIndex<C> {
 
     /// Updates coordinates and publishes the successor (see
     /// [`RTSIndex::update`]).
-    pub fn update(&self, ids: &[u32], rects: &[Rect<C, 2>]) -> Result<MutationReport, IndexError> {
+    pub fn update(&self, ids: &[u32], rects: &[Rect<C, D>]) -> Result<MutationReport, IndexError> {
         crate::admission::admit_write()?;
         let out = self
             .core
@@ -830,7 +808,7 @@ impl<C: Coord> ConcurrentIndex<C> {
         Ok(out)
     }
 
-    /// Compacts into a single batch and publishes (see
+    /// Compacts away deleted slots and publishes (see
     /// [`RTSIndex::compact`]). Returns the old-id → new-id remap.
     /// Fails only on write rejection (`ReadOnly`) or a publish that
     /// exhausts the retry ladder (`PublishFailed`); the compaction
@@ -851,6 +829,69 @@ impl<C: Coord> ConcurrentIndex<C> {
                 Ok(())
             })
             .map(|_: ((), u64)| ())
+    }
+
+    /// A point-in-time [`obs::ServingStatus`] of this index: dimension,
+    /// version, publish recency, live/dead counts, memory, per-GAS drift
+    /// under the installed policy (default policy when none is
+    /// installed), and the recent maintenance decisions. This is what
+    /// `/index` serves after [`ConcurrentIndex::install_status_source`].
+    pub fn serving_status(&self) -> obs::ServingStatus {
+        let snap = self.snapshot();
+        let policy = self.maintenance_policy();
+        let report = snap.maintenance_report(&policy.clone().unwrap_or_default());
+        obs::ServingStatus {
+            dimensions: D as u32,
+            version: snap.version(),
+            last_publish_ns: self.core.last_publish_ns.load(Ordering::SeqCst),
+            live: snap.len(),
+            dead: snap.capacity_ids().saturating_sub(snap.len()),
+            memory_bytes: snap.memory_bytes(),
+            policy_active: policy.is_some(),
+            gases: drift_statuses(&report),
+            decisions: self
+                .decisions
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner)
+                .iter()
+                .cloned()
+                .collect(),
+        }
+    }
+
+    /// Register this index as the process-wide `/index` status source
+    /// (see [`obs::server::set_status_source`]). Holds only a `Weak`
+    /// reference: once the last `Arc` drops, `/index` serves `null`
+    /// again.
+    pub fn install_status_source(self: &Arc<Self>) {
+        let weak = Arc::downgrade(self);
+        obs::server::set_status_source(move || weak.upgrade().map(|ix| ix.serving_status()));
+    }
+}
+
+impl<C: Coord> ConcurrentIndex<C> {
+    /// Creates an empty concurrent index; version 0 is the empty state.
+    pub fn new(opts: IndexOptions) -> Self {
+        Self::from_index(RTSIndex::new(opts))
+    }
+
+    /// Convenience: creates a concurrent index pre-loaded with one
+    /// batch (the batch is version 0, not a separate publish).
+    pub fn with_rects(rects: &[Rect<C, 2>], opts: IndexOptions) -> Result<Self, IndexError> {
+        Ok(Self::from_index(RTSIndex::with_rects(rects, opts)?))
+    }
+
+    /// Inserts a batch and publishes the successor (see
+    /// [`RTSIndex::insert`]). Returns the new ids; on error nothing is
+    /// published. `Err(ReadOnly)` when the serving mode rejects writes.
+    pub fn insert(&self, batch: &[Rect<C, 2>]) -> Result<Range<u32>, IndexError> {
+        crate::admission::admit_write()?;
+        let out = self
+            .core
+            .mutate(|next| next.insert(batch))
+            .map(|(r, _)| r)?;
+        self.auto_maintain();
+        Ok(out)
     }
 
     /// Applies a multi-op mutation batch **atomically with respect to
@@ -890,244 +931,12 @@ impl<C: Coord> ConcurrentIndex<C> {
         self.auto_maintain();
         Ok(v)
     }
-
-    /// A point-in-time [`obs::ServingStatus`] of this index: version,
-    /// publish recency, live/dead counts, per-GAS drift under the
-    /// installed policy (default policy when none is installed), and
-    /// the recent maintenance decisions. This is what `/index` serves
-    /// after [`ConcurrentIndex::install_status_source`].
-    pub fn serving_status(&self) -> obs::ServingStatus {
-        let snap = self.snapshot();
-        let policy = self.maintenance_policy();
-        let report = snap.maintenance_report(&policy.clone().unwrap_or_default());
-        obs::ServingStatus {
-            dimensions: 2,
-            version: snap.version(),
-            last_publish_ns: self.core.last_publish_ns.load(Ordering::SeqCst),
-            live: snap.len(),
-            dead: snap.capacity_ids().saturating_sub(snap.len()),
-            memory_bytes: snap.memory_bytes(),
-            policy_active: policy.is_some(),
-            gases: drift_statuses(&report),
-            decisions: self
-                .decisions
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner)
-                .iter()
-                .cloned()
-                .collect(),
-        }
-    }
-
-    /// Register this index as the process-wide `/index` status source
-    /// (see [`obs::server::set_status_source`]). Holds only a `Weak`
-    /// reference: once the last `Arc` drops, `/index` serves `null`
-    /// again.
-    pub fn install_status_source(self: &Arc<Self>) {
-        let weak = Arc::downgrade(self);
-        obs::server::set_status_source(move || weak.upgrade().map(|ix| ix.serving_status()));
-    }
-}
-
-// ---------------------------------------------------------------------------
-// ConcurrentIndex3 (3-D)
-// ---------------------------------------------------------------------------
-
-/// A concurrently readable [`RTSIndex3`], with the same snapshot
-/// contract as [`ConcurrentIndex`].
-///
-/// `RTSIndex3` keeps a single GAS (no batch instancing) behind an
-/// `Arc`, so a publish is structurally shared just like the 2-D
-/// engine's: cloning the successor shares the GAS, and the writer's
-/// refit copies it on write ([`std::sync::Arc::make_mut`]) without
-/// disturbing published snapshots. Mutations mirror the 2-D engine:
-/// [`delete`](Self::delete), [`update`](Self::update),
-/// [`compact`](Self::compact), [`rebuild`](Self::rebuild), plus the
-/// same automatic-maintenance driver.
-pub struct ConcurrentIndex3<C: Coord> {
-    core: SnapCore<RTSIndex3<C>>,
-    /// See [`ConcurrentIndex::set_maintenance_policy`].
-    policy: Mutex<Option<MaintenancePolicy>>,
-    /// Recent maintenance decisions for `/index` introspection.
-    decisions: Mutex<VecDeque<obs::MaintenanceDecision>>,
 }
 
 impl<C: Coord> ConcurrentIndex3<C> {
     /// Builds the index over 3-D boxes; the built state is version 0.
     pub fn build(boxes: &[Rect<C, 3>], opts: IndexOptions) -> Result<Self, IndexError> {
-        Ok(Self {
-            core: SnapCore::new(RTSIndex3::build(boxes, opts)?),
-            policy: Mutex::new(None),
-            decisions: Mutex::new(VecDeque::new()),
-        })
-    }
-
-    /// Builder form of [`ConcurrentIndex3::set_maintenance_policy`].
-    pub fn with_policy(self, policy: MaintenancePolicy) -> Self {
-        self.set_maintenance_policy(Some(policy));
-        self
-    }
-
-    /// Installs (or removes) the automatic-maintenance policy — same
-    /// contract as [`ConcurrentIndex::set_maintenance_policy`].
-    pub fn set_maintenance_policy(&self, policy: Option<MaintenancePolicy>) {
-        *self.policy.lock().unwrap_or_else(PoisonError::into_inner) = policy;
-    }
-
-    /// The currently installed automatic-maintenance policy.
-    pub fn maintenance_policy(&self) -> Option<MaintenancePolicy> {
-        self.policy
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .clone()
-    }
-
-    /// Runs one maintenance pass (see [`ConcurrentIndex::maintain`]).
-    pub fn maintain(&self) -> MaintenanceOutcome {
-        let policy = self.maintenance_policy().unwrap_or_default();
-        self.maintain_with(&policy)
-    }
-
-    /// As [`ConcurrentIndex3::maintain`] with an explicit policy; the
-    /// serving mode clamps the pass exactly like
-    /// [`ConcurrentIndex::maintain_with`].
-    pub fn maintain_with(&self, policy: &MaintenancePolicy) -> MaintenanceOutcome {
-        let Some(policy) = mode_clamped(policy) else {
-            return MaintenanceOutcome::default();
-        };
-        let mut outcome = MaintenanceOutcome::default();
-        if let Some(((), version)) = self.core.mutate_if(|next| {
-            outcome = next.maintain(&policy);
-            outcome.acted().then_some(())
-        }) {
-            record_decision(&self.decisions, &outcome, version);
-        }
-        outcome
-    }
-
-    /// Quality drift and amortization state of the newest published
-    /// snapshot, measured under the installed policy (or the default).
-    pub fn maintenance_report(&self) -> MaintenanceReport {
-        let policy = self.maintenance_policy().unwrap_or_default();
-        self.snapshot().maintenance_report(&policy)
-    }
-
-    fn auto_maintain(&self) {
-        let Some(policy) = self.maintenance_policy().as_ref().and_then(mode_clamped) else {
-            return;
-        };
-        let mut outcome = MaintenanceOutcome::default();
-        if let Some(((), version)) = self.core.mutate_if(|next| {
-            outcome = next.maintain(&policy);
-            outcome.acted().then_some(())
-        }) {
-            record_decision(&self.decisions, &outcome, version);
-        }
-    }
-
-    /// Acquires a read snapshot of the newest published version.
-    pub fn snapshot(&self) -> SnapshotRef<RTSIndex3<C>> {
-        self.core.snapshot()
-    }
-
-    /// Admission-controlled read — see
-    /// [`ConcurrentIndex::snapshot_with_priority`].
-    pub fn snapshot_with_priority(
-        &self,
-        priority: crate::admission::Priority,
-    ) -> Result<SnapshotRef<RTSIndex3<C>>, IndexError> {
-        crate::admission::admit_read(priority)?;
-        Ok(self.core.snapshot())
-    }
-
-    /// Version of the newest published snapshot.
-    pub fn version(&self) -> u64 {
-        self.core.version()
-    }
-
-    /// Live boxes in the newest published snapshot.
-    pub fn len(&self) -> usize {
-        self.snapshot().len()
-    }
-
-    /// `true` when the newest published snapshot is empty.
-    pub fn is_empty(&self) -> bool {
-        self.snapshot().is_empty()
-    }
-
-    /// Deletes by id and publishes the successor (see
-    /// [`RTSIndex3::delete`]).
-    pub fn delete(&self, ids: &[u32]) -> Result<MutationReport, IndexError> {
-        crate::admission::admit_write()?;
-        let out = self.core.mutate(|next| next.delete(ids)).map(|(r, _)| r)?;
-        self.auto_maintain();
-        Ok(out)
-    }
-
-    /// Updates box coordinates and publishes the successor (see
-    /// [`RTSIndex3::update`]).
-    pub fn update(&self, ids: &[u32], boxes: &[Rect<C, 3>]) -> Result<MutationReport, IndexError> {
-        crate::admission::admit_write()?;
-        let out = self
-            .core
-            .mutate(|next| next.update(ids, boxes))
-            .map(|(r, _)| r)?;
-        self.auto_maintain();
-        Ok(out)
-    }
-
-    /// Compacts away deleted slots and publishes (see
-    /// [`RTSIndex3::compact`]). Returns the old-id → new-id remap.
-    /// Same failure modes as [`ConcurrentIndex::compact`].
-    pub fn compact(&self) -> Result<Vec<u32>, IndexError> {
-        crate::admission::admit_write()?;
-        self.core.mutate(|next| Ok(next.compact())).map(|(r, _)| r)
-    }
-
-    /// Rebuilds the GAS from scratch and publishes (see
-    /// [`RTSIndex3::rebuild`]).
-    pub fn rebuild(&self) -> Result<(), IndexError> {
-        crate::admission::admit_write()?;
-        self.core
-            .mutate(|next| {
-                next.rebuild();
-                Ok(())
-            })
-            .map(|_: ((), u64)| ())
-    }
-
-    /// A point-in-time [`obs::ServingStatus`] of this index — the 3-D
-    /// counterpart of [`ConcurrentIndex::serving_status`].
-    /// `memory_bytes` reports 0: `RTSIndex3` does not expose a memory
-    /// estimate.
-    pub fn serving_status(&self) -> obs::ServingStatus {
-        let snap = self.snapshot();
-        let policy = self.maintenance_policy();
-        let report = snap.maintenance_report(&policy.clone().unwrap_or_default());
-        obs::ServingStatus {
-            dimensions: 3,
-            version: snap.version(),
-            last_publish_ns: self.core.last_publish_ns.load(Ordering::SeqCst),
-            live: snap.len(),
-            dead: snap.capacity_ids().saturating_sub(snap.len()),
-            memory_bytes: 0,
-            policy_active: policy.is_some(),
-            gases: drift_statuses(&report),
-            decisions: self
-                .decisions
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner)
-                .iter()
-                .cloned()
-                .collect(),
-        }
-    }
-
-    /// Register this index as the process-wide `/index` status source
-    /// (see [`ConcurrentIndex::install_status_source`]).
-    pub fn install_status_source(self: &Arc<Self>) {
-        let weak = Arc::downgrade(self);
-        obs::server::set_status_source(move || weak.upgrade().map(|ix| ix.serving_status()));
+        Ok(Self::from_index(RTSIndex3::build(boxes, opts)?))
     }
 }
 
@@ -1385,26 +1194,15 @@ mod tests {
         assert_eq!(index.version(), 1, "failed delete does not publish");
     }
 
-    #[test]
-    fn serving_status_reports_live_state_and_decisions() {
-        let index = ConcurrentIndex::<f32>::new(IndexOptions::default());
-        let s0 = index.serving_status();
-        assert_eq!(s0.dimensions, 2);
-        assert_eq!(s0.version, 0);
-        assert_eq!(s0.last_publish_ns, 0, "no publish yet");
-        assert!(!s0.policy_active);
-        assert!(s0.decisions.is_empty());
-
-        index
-            .insert(
-                &(0..64)
-                    .map(|i| r(i as f32, 0.0, i as f32 + 1.0, 1.0))
-                    .collect::<Vec<_>>(),
-            )
-            .unwrap();
+    /// `/index` of a concurrent index holding 64 live rectangles: it
+    /// reports live and dead counts, memory and drift, then a recorded
+    /// maintenance decision.
+    fn check_serving_status<const D: usize>(index: &ConcurrentIndex<f32, D>) {
+        let v = index.version();
         index.delete(&[0, 1, 2]).unwrap();
         let s = index.serving_status();
-        assert_eq!(s.version, 2);
+        assert_eq!(s.dimensions, D as u32);
+        assert_eq!(s.version, v + 1);
         assert!(s.last_publish_ns > 0);
         assert_eq!(s.live, 61);
         assert_eq!(s.dead, 3);
@@ -1412,7 +1210,7 @@ mod tests {
         assert!(!s.gases.is_empty());
 
         // An eager, dead-intolerant policy makes the next mutation
-        // (dead fraction 4/64 > 1%) record a compaction decision.
+        // (dead fraction 4/64 > 1%) record a repack decision.
         index.set_maintenance_policy(Some(MaintenancePolicy {
             max_dead_fraction: 0.01,
             ..MaintenancePolicy::eager()
@@ -1425,8 +1223,32 @@ mod tests {
             "eager maintenance after a delete should record a decision"
         );
         let json = s.to_json();
-        assert!(json.contains("\"dimensions\": 2"));
+        assert!(json.contains(&format!("\"dimensions\": {D}")));
         assert!(json.contains("\"decisions\": [{"));
+    }
+
+    #[test]
+    fn serving_status_reports_live_state_and_decisions() {
+        let index = ConcurrentIndex::<f32>::new(IndexOptions::default());
+        let s0 = index.serving_status();
+        assert_eq!(s0.dimensions, 2);
+        assert_eq!(s0.version, 0);
+        assert_eq!(s0.last_publish_ns, 0, "no publish yet");
+        assert!(!s0.policy_active);
+        assert!(s0.decisions.is_empty());
+        index
+            .insert(
+                &(0..64)
+                    .map(|i| r(i as f32, 0.0, i as f32 + 1.0, 1.0))
+                    .collect::<Vec<_>>(),
+            )
+            .unwrap();
+        check_serving_status(&index);
+
+        let boxes: Vec<Rect<f32, 3>> = (0..64)
+            .map(|i| Rect::xyzxyz(i as f32, 0.0, 0.0, i as f32 + 1.0, 1.0, 1.0))
+            .collect();
+        check_serving_status(&ConcurrentIndex3::build(&boxes, IndexOptions::default()).unwrap());
     }
 
     #[test]

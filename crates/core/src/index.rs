@@ -1,18 +1,31 @@
-//! The `RTSIndex` — LibRTS's central type (Algorithm 2).
+//! The `RTSIndex` — LibRTS's central type (Algorithm 2), one engine for
+//! both values of the paper's `N_DIMS` (§5).
 //!
-//! The index keeps every inserted rectangle in a per-batch GAS; an IAS
-//! with identity transforms links the batches (§4.1). Global primitive
-//! ids are derived from a prefix-sum array over batch sizes plus the
-//! instance id and per-GAS primitive index, in O(1). Deletion degenerates
-//! rectangles and refits (§4.2); updates overwrite cached coordinates and
-//! refit.
+//! The index keeps every rectangle in a host-side cache, in id order, and
+//! its AABB in a GAS. In 2-D each insert batch becomes its own GAS and an
+//! IAS with identity transforms links the batches (§4.1); global
+//! primitive ids are derived from a prefix-sum array over batch sizes plus
+//! the instance id and per-GAS primitive index, in O(1). The 3-D engine
+//! ([`crate::RTSIndex3`]) is built once into a single GAS. Deletion
+//! degenerates rectangles and refits (§4.2); updates overwrite cached
+//! coordinates and refit.
+//!
+//! Four things differ between the dimensions, and `D` decides each in one
+//! place: what a ray enters (`Snapshot::trace`: the IAS in 2-D, the one
+//! GAS in 3-D), how a rectangle is placed in the 3-D ray space (`place`:
+//! at z = 0 in 2-D), what the id-stable repack is (`RTSIndex::repack`: a
+//! re-split into batches in 2-D, a rebuild of the one GAS in 3-D), and
+//! Range-Intersects (Theorem 1 in 2-D, the Minkowski centre probe of
+//! [`crate::index3d`] in 3-D).
 
 use std::ops::Range;
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
-use geom::{Coord, Point, Rect};
-use rtcore::{BuildOptions, Device, Gas, GasCache, Ias, Instance};
+use geom::{Coord, Point, Ray, Rect};
+use rtcore::{
+    AccelError, BuildOptions, Device, Gas, GasCache, Ias, Instance, RtProgram, TraceSession,
+};
 
 use crate::config::{IndexOptions, Predicate};
 use crate::error::IndexError;
@@ -21,10 +34,17 @@ use crate::maintenance::MaintenanceCredit;
 use crate::queries;
 use crate::report::{MutationReport, QueryReport};
 
-/// A mutable spatial index over 2-D rectangles, accelerated by the
-/// (simulated) RT cores. The paper's `RTSIndex<COORD_T, N_DIMS>` with
-/// `N_DIMS = 2`; `COORD_T` is the `C` type parameter (`f32` in the
-/// paper's evaluation, `f64` supported).
+/// A mutable spatial index over rectangles, accelerated by the
+/// (simulated) RT cores: the paper's `RTSIndex<COORD_T, N_DIMS>`, with
+/// `COORD_T` the `C` type parameter (`f32` in the paper's evaluation,
+/// `f64` supported) and `N_DIMS` the `D` parameter — 2 by default,
+/// 3 for [`crate::RTSIndex3`].
+///
+/// `clone` is cheap and structural: the GASes are shared by bumping
+/// their `Arc`s (copy-on-write — a later mutation on either clone
+/// detaches only the GASes it touches), and only the host-side caches
+/// and the primitive-free IAS are copied. This is what makes
+/// [`crate::ConcurrentIndex`] publication cheap.
 ///
 /// ```
 /// use geom::{Point, Rect};
@@ -39,13 +59,14 @@ use crate::report::{MutationReport, QueryReport};
 /// index.point_query(&[Point::xy(5.0, 5.0)], &handler);
 /// assert_eq!(handler.into_sorted_vec(), vec![(0, 0)]);
 /// ```
-pub struct RTSIndex<C: Coord> {
+#[derive(Clone)]
+pub struct RTSIndex<C: Coord, const D: usize = 2> {
     pub(crate) opts: IndexOptions,
     pub(crate) device: Device,
     /// Global primitive cache: every rectangle ever inserted, in id
     /// order; deleted entries are degenerated (§4.2) but keep their slot
     /// so ids stay stable.
-    pub(crate) rects: Vec<Rect<C, 2>>,
+    pub(crate) rects: Vec<Rect<C, D>>,
     /// Deletion bitmap (degenerate extent alone cannot distinguish a
     /// deleted rect from a user-supplied zero-area one).
     pub(crate) deleted: Vec<bool>,
@@ -53,22 +74,29 @@ pub struct RTSIndex<C: Coord> {
     /// Union of the live rectangles (empty when none), kept by every
     /// mutation so that [`RTSIndex::bounds`] and the Range-Intersects
     /// frame cost O(1) instead of a scan per call.
-    pub(crate) live_bounds: Rect<C, 2>,
-    /// One GAS per insert batch (bottom level).
+    pub(crate) live_bounds: Rect<C, D>,
+    /// The bottom level: one GAS per insert batch in 2-D, exactly one
+    /// GAS in 3-D.
     pub(crate) gases: Vec<Arc<Gas<C>>>,
     /// Prefix sums: `batch_offsets[i]` is the global id of batch `i`'s
     /// first rectangle; `batch_offsets[batches]` == total count (the
     /// array `A` of §4.1).
     pub(crate) batch_offsets: Vec<u32>,
-    /// Top level; rebuilt after every mutation (cheap — stores no
-    /// primitives).
-    pub(crate) ias: Ias<C>,
+    /// Top level linking the 2-D batches; rebuilt after every mutation
+    /// (cheap — stores no primitives). `None` exactly when `D == 3`: a
+    /// 3-D ray enters the one GAS directly.
+    pub(crate) ias: Option<Ias<C>>,
     /// Cache of query-side GASes keyed on the exact placed query batch:
     /// a repeated Range-Intersects batch (an EXPLAIN'd query re-run for
-    /// real, a polling dashboard) skips the Phase-2 `bvh_build` wall
-    /// time entirely. Shared across clones — the cache is
-    /// content-addressed, so sharing can never leak stale structures.
-    query_gas_cache: Arc<GasCache<C>>,
+    /// real, a polling dashboard) skips the query-side build's wall time
+    /// entirely. Shared across clones — the cache is content-addressed,
+    /// so sharing can never leak stale structures.
+    pub(crate) query_gas_cache: Arc<GasCache<C>>,
+    /// Largest half-extent per axis over the indexed boxes: the
+    /// Minkowski bound of the 3-D Range-Intersects pass. It only grows
+    /// between compactions (still a valid upper bound for every live
+    /// box). The 2-D pass (Theorem 1) needs no bound; there it stays 0.
+    pub(crate) max_half: Point<C, D>,
     /// Amortization ledger for [`RTSIndex::maintain`]: modeled device
     /// time accrued by mutations vs spent on maintenance.
     pub(crate) maint: MaintenanceCredit,
@@ -80,56 +108,27 @@ impl<C: Coord> Default for RTSIndex<C> {
     }
 }
 
-impl<C: Coord> Clone for RTSIndex<C> {
-    /// Cheap structural clone: the per-batch GASes are shared by
-    /// bumping their `Arc`s (copy-on-write — a later mutation on either
-    /// clone detaches only the batches it touches via `Arc::make_mut`);
-    /// only the host-side caches and the primitive-free IAS are copied.
-    /// This is what makes [`crate::ConcurrentIndex`] publication cheap.
-    fn clone(&self) -> Self {
+impl<C: Coord, const D: usize> RTSIndex<C, D> {
+    /// An index over no rectangles (the paper's `Init`; PTX loading has
+    /// no analogue here — programs are compiled Rust).
+    pub(crate) fn empty(opts: IndexOptions) -> Self {
+        const { assert!(D == 2 || D == 3, "RTSIndex is 2-D or 3-D") };
         Self {
-            opts: self.opts.clone(),
-            device: self.device.clone(),
-            rects: self.rects.clone(),
-            deleted: self.deleted.clone(),
-            live: self.live,
-            live_bounds: self.live_bounds,
-            gases: self.gases.clone(),
-            batch_offsets: self.batch_offsets.clone(),
-            ias: self.ias.clone(),
-            query_gas_cache: Arc::clone(&self.query_gas_cache),
-            maint: self.maint,
-        }
-    }
-}
-
-impl<C: Coord> RTSIndex<C> {
-    /// Creates an empty index (the paper's `Init`; PTX loading has no
-    /// analogue here — programs are compiled Rust).
-    pub fn new(opts: IndexOptions) -> Self {
-        let device = Device {
-            cost_model: opts.cost_model,
-        };
-        Self {
+            device: Device {
+                cost_model: opts.cost_model,
+            },
             opts,
-            device,
             rects: Vec::new(),
             deleted: Vec::new(),
             live: 0,
             live_bounds: Rect::empty(),
             gases: Vec::new(),
             batch_offsets: vec![0],
-            ias: Ias::build(&[]).expect("empty IAS build cannot fail"),
+            ias: (D == 2).then(|| Ias::build(&[]).expect("empty IAS build cannot fail")),
             query_gas_cache: Arc::new(GasCache::new()),
+            max_half: Point::origin(),
             maint: MaintenanceCredit::default(),
         }
-    }
-
-    /// Convenience: creates an index pre-loaded with one batch.
-    pub fn with_rects(rects: &[Rect<C, 2>], opts: IndexOptions) -> Result<Self, IndexError> {
-        let mut idx = Self::new(opts);
-        idx.insert(rects)?;
-        Ok(idx)
     }
 
     /// Options the index was created with.
@@ -137,7 +136,8 @@ impl<C: Coord> RTSIndex<C> {
         &self.opts
     }
 
-    /// Total rectangles ever inserted (including deleted slots).
+    /// Total rectangles ever inserted (including deleted slots; ids are
+    /// stable until [`RTSIndex::compact`]).
     pub fn capacity_ids(&self) -> usize {
         self.rects.len()
     }
@@ -152,13 +152,14 @@ impl<C: Coord> RTSIndex<C> {
         self.live == 0
     }
 
-    /// Number of insert batches (GASes) currently linked by the IAS.
+    /// Number of GASes: the insert batches the IAS links in 2-D, 1 in
+    /// 3-D.
     pub fn batch_count(&self) -> usize {
         self.gases.len()
     }
 
     /// The rectangle stored under `id` (deleted entries return `None`).
-    pub fn get(&self, id: u32) -> Option<Rect<C, 2>> {
+    pub fn get(&self, id: u32) -> Option<Rect<C, D>> {
         let i = id as usize;
         if i < self.rects.len() && !self.deleted[i] {
             Some(self.rects[i])
@@ -168,23 +169,23 @@ impl<C: Coord> RTSIndex<C> {
     }
 
     /// Device-memory footprint of the index (Fig. 11): host-side
-    /// rectangle cache + deletion bitmap + prefix sums, plus every
-    /// per-batch GAS BVH summed explicitly, plus the IAS top level.
-    /// The GASes are summed here (not via `Ias::memory_bytes`) so the
-    /// bottom-level accounting cannot silently drop batches if the IAS
-    /// ever links a subset of them.
+    /// rectangle cache + deletion bitmap + prefix sums, plus every GAS
+    /// BVH summed explicitly, plus the IAS top level in 2-D. The GASes
+    /// are summed here (not via `Ias::memory_bytes`) so the bottom-level
+    /// accounting cannot silently drop batches if the IAS ever links a
+    /// subset of them.
     pub fn memory_bytes(&self) -> usize {
         let gas_bytes: usize = self.gases.iter().map(|g| g.memory_bytes()).sum();
-        self.rects.len() * std::mem::size_of::<Rect<C, 2>>()
+        self.rects.len() * std::mem::size_of::<Rect<C, D>>()
             + self.deleted.len()
             + self.batch_offsets.len() * std::mem::size_of::<u32>()
             + gas_bytes
-            + self.ias.tlas_memory_bytes()
+            + self.ias.as_ref().map_or(0, Ias::tlas_memory_bytes)
     }
 
     /// World bounds of the live data (empty rect when empty). O(1): the
     /// index keeps them up to date.
-    pub fn bounds(&self) -> Rect<C, 2> {
+    pub fn bounds(&self) -> Rect<C, D> {
         self.live_bounds
     }
 
@@ -206,13 +207,323 @@ impl<C: Coord> RTSIndex<C> {
         let b = &self.live_bounds;
         ids.iter().any(|&id| {
             let r = &self.rects[id as usize];
-            (0..2).any(|d| r.min.coords[d] <= b.min.coords[d] || r.max.coords[d] >= b.max.coords[d])
+            (0..D).any(|d| r.min.coords[d] <= b.min.coords[d] || r.max.coords[d] >= b.max.coords[d])
         })
+    }
+
+    /// Grows `max_half` to cover `rects` in 3-D (see the field); a no-op
+    /// in 2-D.
+    pub(crate) fn grow_max_half(max_half: &mut Point<C, D>, rects: &[Rect<C, D>]) {
+        if D == 3 {
+            for r in rects {
+                for d in 0..D {
+                    max_half.coords[d] = max_half.coords[d].max_c(r.extent(d) * C::HALF);
+                }
+            }
+        }
     }
 
     // ------------------------------------------------------------------
     // Mutations (§4)
     // ------------------------------------------------------------------
+
+    /// Deletes rectangles by id: degenerates their AABBs so rays cannot
+    /// hit them, then refits the affected GASes and the IAS (§4.2).
+    /// Fails (without mutating) on unknown or already-deleted ids.
+    pub fn delete(&mut self, ids: &[u32]) -> Result<MutationReport, IndexError> {
+        let span = obs::span!(dim_name::<D>("index.delete", "index3.delete"));
+        if let Err(fault) = chaos::inject("core.mutation") {
+            return Err(IndexError::Injected { point: fault.point });
+        }
+        let start = Instant::now();
+        self.check_ids(ids)?;
+        let shrinks = self.any_on_live_bounds(ids);
+        let touched = self.apply_and_refit(ids, |rects, slot, _| {
+            rects[slot] = rects[slot].degenerated();
+        })?;
+        for &id in ids {
+            self.deleted[id as usize] = true;
+        }
+        self.live -= ids.len();
+        if shrinks {
+            self.recompute_live_bounds();
+        }
+        self.rebuild_ias();
+        let device_time = self.refit_time(touched);
+        span.device(device_time);
+        self.maint.accrue(device_time);
+        obs::counter(dim_name::<D>("index.deleted_rects", "index3.deleted_rects"))
+            .add(ids.len() as u64);
+        Ok(MutationReport {
+            affected: ids.len(),
+            device_time,
+            wall_time: start.elapsed(),
+        })
+    }
+
+    /// Updates rectangle coordinates in place: overwrites the cached
+    /// primitives and refits (§4.2). Quality may degrade after large
+    /// displacements (§6.7) — see [`RTSIndex::rebuild`]. In 3-D the
+    /// Minkowski bound grows with an enlarged box and never shrinks
+    /// until [`RTSIndex::compact`], so growth-then-shrink churn leaves
+    /// it conservative: correct, with more candidates.
+    pub fn update(
+        &mut self,
+        ids: &[u32],
+        rects: &[Rect<C, D>],
+    ) -> Result<MutationReport, IndexError> {
+        let span = obs::span!(dim_name::<D>("index.update", "index3.update"));
+        if let Err(fault) = chaos::inject("core.mutation") {
+            return Err(IndexError::Injected { point: fault.point });
+        }
+        let start = Instant::now();
+        if ids.len() != rects.len() {
+            return Err(IndexError::LengthMismatch {
+                ids: ids.len(),
+                rects: rects.len(),
+            });
+        }
+        self.check_ids(ids)?;
+        check_rects(rects)?;
+        let shrinks = self.any_on_live_bounds(ids);
+        let touched = self.apply_and_refit(ids, |cache, slot, pos| {
+            cache[slot] = rects[pos];
+        })?;
+        if shrinks {
+            self.recompute_live_bounds();
+        } else {
+            for r in rects {
+                self.live_bounds.expand(r);
+            }
+        }
+        Self::grow_max_half(&mut self.max_half, rects);
+        self.rebuild_ias();
+        let device_time = self.refit_time(touched);
+        span.device(device_time);
+        self.maint.accrue(device_time);
+        obs::counter(dim_name::<D>("index.updated_rects", "index3.updated_rects"))
+            .add(ids.len() as u64);
+        Ok(MutationReport {
+            affected: ids.len(),
+            device_time,
+            wall_time: start.elapsed(),
+        })
+    }
+
+    /// Rebuilds every GAS from scratch over the current coordinates —
+    /// the recovery path when refit quality has degraded (§4.2, §6.7).
+    /// Id-stable: deleted slots stay degenerated.
+    pub fn rebuild(&mut self) {
+        let _span = obs::span!(dim_name::<D>("index.rebuild", "index3.rebuild"));
+        self.unlink();
+        for gas in &mut self.gases {
+            Gas::rebuild_shared(gas);
+        }
+        self.rebuild_ias();
+    }
+
+    /// Compacts the index, dropping deleted slots, and repacks the
+    /// survivors: in 2-D into fresh GASes of at most
+    /// [`IndexOptions::compact_batch_size`] rectangles each (in id
+    /// order), so post-compact mutations keep refitting only the batch
+    /// they touch; in 3-D into one GAS, with the Minkowski bound
+    /// re-tightened.
+    /// **Ids are remapped**: the returned vector maps old id → new id
+    /// (`u32::MAX` for deleted). This is an extension beyond the paper's
+    /// API, useful after heavy churn.
+    pub fn compact(&mut self) -> Vec<u32> {
+        let _span = obs::span!(dim_name::<D>("index.compact", "index3.compact"));
+        let mut remap = vec![u32::MAX; self.rects.len()];
+        let mut kept = Vec::with_capacity(self.live);
+        for (i, (r, &dead)) in self.rects.iter().zip(&self.deleted).enumerate() {
+            if !dead {
+                remap[i] = kept.len() as u32;
+                kept.push(*r);
+            }
+        }
+        self.rects = kept;
+        self.deleted = vec![false; self.rects.len()];
+        self.live = self.rects.len();
+        self.recompute_live_bounds();
+        self.max_half = Point::origin();
+        Self::grow_max_half(&mut self.max_half, &self.rects);
+        self.maint = MaintenanceCredit::default();
+        self.repack(self.opts.compact_batch_size.max(1));
+        obs::counter(dim_name::<D>("index.compactions", "index3.compactions")).inc();
+        remap
+    }
+
+    pub(crate) fn check_ids(&self, ids: &[u32]) -> Result<(), IndexError> {
+        check_id_batch(ids, &self.deleted)
+    }
+
+    /// The id-stable whole-index repack: rebuilds the bottom level from
+    /// the global rectangle cache. In 2-D it drops every GAS, re-splits
+    /// the id space into contiguous batches of at most `target`
+    /// primitives and rebuilds the IAS; the 3-D engine rebuilds its one
+    /// GAS over every id. Slot `i` keeps global id `i`; deleted slots
+    /// (already degenerated in the cache) ride along unhittable.
+    pub(crate) fn repack(&mut self, target: usize) {
+        // Drop the IAS's shared references first so nothing retains the
+        // old bottom level.
+        self.unlink();
+        self.gases.clear();
+        self.batch_offsets = vec![0];
+        let total = self.rects.len();
+        let mut lo = 0;
+        // 2-D: batches of at most `target`; 3-D: one GAS, even over no id.
+        while lo < total || (D == 3 && self.gases.is_empty()) {
+            let hi = if D == 2 {
+                (lo + target).min(total)
+            } else {
+                total
+            };
+            let gas = self
+                .build_gas(&self.rects[lo..hi])
+                .expect("cached rectangles are always finite");
+            self.gases.push(Arc::new(gas));
+            self.batch_offsets.push(hi as u32);
+            lo = hi;
+        }
+        self.rebuild_ias();
+    }
+
+    /// Builds a refittable GAS over `rects`, placed in the ray space, at
+    /// the index's quality and leaf size. Fails only on an injected
+    /// build fault: the index validates every rectangle it caches.
+    pub(crate) fn build_gas(&self, rects: &[Rect<C, D>]) -> Result<Gas<C>, AccelError> {
+        let options = BuildOptions {
+            allow_update: true,
+            quality: self.opts.quality,
+            leaf_size: self.opts.leaf_size,
+        };
+        Gas::build(rects.iter().map(place).collect(), options)
+    }
+
+    /// Applies `mutate(global_cache, slot, position_in_ids)` for each id,
+    /// then refits every touched GAS from the global cache. Returns the
+    /// total primitive count of the touched GASes (refit work).
+    fn apply_and_refit<F>(&mut self, ids: &[u32], mutate: F) -> Result<usize, IndexError>
+    where
+        F: Fn(&mut [Rect<C, D>], usize, usize),
+    {
+        for (pos, &id) in ids.iter().enumerate() {
+            mutate(&mut self.rects, id as usize, pos);
+        }
+        // Which batches were touched?
+        let mut touched: Vec<usize> = ids.iter().map(|&id| self.batch_of(id)).collect();
+        touched.sort_unstable();
+        touched.dedup();
+        self.unlink();
+        let mut total = 0usize;
+        for &b in &touched {
+            let lo = self.batch_offsets[b] as usize;
+            let hi = self.batch_offsets[b + 1] as usize;
+            let fresh: Vec<Rect<C, 3>> = self.rects[lo..hi].iter().map(place).collect();
+            Gas::refit_shared(&mut self.gases[b], fresh)?;
+            total += hi - lo;
+        }
+        Ok(total)
+    }
+
+    /// Modeled device time of a mutation's refit of `prims` primitives,
+    /// plus the IAS refit in 2-D.
+    fn refit_time(&self, prims: usize) -> Duration {
+        let model = &self.device.cost_model;
+        model.refit_time(prims) + self.ias_time(|batches| model.ias_refit_time(batches))
+    }
+
+    /// `cost(batches)` of the IAS over the batches in 2-D; zero in 3-D,
+    /// which has no IAS.
+    pub(crate) fn ias_time(&self, cost: impl Fn(usize) -> Duration) -> Duration {
+        match self.ias {
+            Some(_) => cost(self.gases.len()),
+            None => Duration::ZERO,
+        }
+    }
+
+    /// Batch containing global id `id` (binary search over prefix sums).
+    fn batch_of(&self, id: u32) -> usize {
+        match self.batch_offsets.binary_search(&id) {
+            Ok(b) if b < self.gases.len() => b,
+            Ok(b) => b - 1,
+            Err(b) => b - 1,
+        }
+    }
+
+    /// Drops the IAS's shared references to the GASes, so a GAS no
+    /// published snapshot holds is refit or rebuilt in place; a held one
+    /// is copied first. (The 3-D engine has no IAS.)
+    pub(crate) fn unlink(&mut self) {
+        if let Some(ias) = &mut self.ias {
+            *ias = Ias::build(&[]).expect("empty IAS");
+        }
+    }
+
+    /// Links the batches under a fresh IAS (§4.1). (The 3-D engine has
+    /// no IAS.)
+    pub(crate) fn rebuild_ias(&mut self) {
+        if self.ias.is_some() {
+            let instances: Vec<Instance<C>> = self
+                .gases
+                .iter()
+                .enumerate()
+                .map(|(i, gas)| Instance::identity(Arc::clone(gas), i as u32))
+                .collect();
+            self.ias = Some(Ias::build(&instances).expect("identity instances cannot fail"));
+        }
+    }
+
+    // ------------------------------------------------------------------
+    // Queries (§3)
+    // ------------------------------------------------------------------
+
+    /// Point query `Q(R, S)` (§3.1): calls `handler(rect_id, point_id)`
+    /// for every indexed rectangle containing each query point.
+    pub fn point_query<H: QueryHandler>(&self, points: &[Point<C, D>], handler: &H) -> QueryReport {
+        queries::point::run(self.snapshot(), points, handler)
+    }
+
+    /// Convenience: point query collecting `(rect_id, point_id)` pairs.
+    pub fn collect_point_query(&self, points: &[Point<C, D>]) -> Vec<ResultPair> {
+        let h = CollectingHandler::new();
+        self.point_query(points, &h);
+        h.into_sorted_vec()
+    }
+
+    /// Read-only view shared with the query implementations.
+    pub(crate) fn snapshot(&self) -> Snapshot<'_, C, D> {
+        Snapshot {
+            rects: &self.rects,
+            deleted: &self.deleted,
+            batch_offsets: &self.batch_offsets,
+            gases: &self.gases,
+            ias: self.ias.as_ref(),
+            device: &self.device,
+            opts: &self.opts,
+            live: self.live,
+            live_bounds: self.live_bounds,
+            query_gas_cache: &self.query_gas_cache,
+        }
+    }
+}
+
+// ----------------------------------------------------------------------
+// The 2-D engine: insertion (§4.1) and Theorem 1 Range-Intersects (§3.3)
+// ----------------------------------------------------------------------
+
+impl<C: Coord> RTSIndex<C> {
+    /// Creates an empty index (the paper's `Init`).
+    pub fn new(opts: IndexOptions) -> Self {
+        Self::empty(opts)
+    }
+
+    /// Convenience: creates an index pre-loaded with one batch.
+    pub fn with_rects(rects: &[Rect<C, 2>], opts: IndexOptions) -> Result<Self, IndexError> {
+        let mut idx = Self::new(opts);
+        idx.insert(rects)?;
+        Ok(idx)
+    }
 
     /// Inserts a batch of rectangles, returning their new global ids
     /// (contiguous). Builds one new GAS for the batch and rebuilds the
@@ -235,11 +546,7 @@ impl<C: Coord> RTSIndex<C> {
             return Err(IndexError::Injected { point: fault.point });
         }
         let start = Instant::now();
-        for (i, r) in batch.iter().enumerate() {
-            if !(r.min.is_finite() && r.max.is_finite()) || r.is_empty() {
-                return Err(IndexError::InvalidRect { index: i });
-            }
-        }
+        check_rects(batch)?;
         let first = self.rects.len() as u32;
         if batch.is_empty() {
             return Ok((
@@ -251,15 +558,7 @@ impl<C: Coord> RTSIndex<C> {
                 },
             ));
         }
-        let aabbs: Vec<Rect<C, 3>> = batch.iter().map(|r| lift(r)).collect();
-        let gas = Gas::build(
-            aabbs,
-            BuildOptions {
-                allow_update: true,
-                quality: self.opts.quality,
-                leaf_size: self.opts.leaf_size,
-            },
-        )?;
+        let gas = self.build_gas(batch)?;
         self.rects.extend_from_slice(batch);
         self.deleted.extend(std::iter::repeat_n(false, batch.len()));
         self.live += batch.len();
@@ -284,225 +583,6 @@ impl<C: Coord> RTSIndex<C> {
                 wall_time: start.elapsed(),
             },
         ))
-    }
-
-    /// Deletes rectangles by id: degenerates their AABBs so rays cannot
-    /// hit them, then refits the affected GASes and the IAS (§4.2).
-    /// Fails (without mutating) on unknown or already-deleted ids.
-    pub fn delete(&mut self, ids: &[u32]) -> Result<MutationReport, IndexError> {
-        let span = obs::span!("index.delete");
-        if let Err(fault) = chaos::inject("core.mutation") {
-            return Err(IndexError::Injected { point: fault.point });
-        }
-        let start = Instant::now();
-        self.check_ids(ids)?;
-        let shrinks = self.any_on_live_bounds(ids);
-        let touched = self.apply_and_refit(ids, |rects, slot, _| {
-            rects[slot] = rects[slot].degenerated();
-        })?;
-        for &id in ids {
-            self.deleted[id as usize] = true;
-        }
-        self.live -= ids.len();
-        if shrinks {
-            self.recompute_live_bounds();
-        }
-        self.rebuild_ias();
-        let model = &self.device.cost_model;
-        let device_time = model.refit_time(touched) + model.ias_refit_time(self.gases.len());
-        span.device(device_time);
-        self.maint.accrue(device_time);
-        obs::counter("index.deleted_rects").add(ids.len() as u64);
-        Ok(MutationReport {
-            affected: ids.len(),
-            device_time,
-            wall_time: start.elapsed(),
-        })
-    }
-
-    /// Updates rectangle coordinates in place: overwrites the cached
-    /// primitives and refits (§4.2). Quality may degrade after large
-    /// displacements (§6.7) — see [`RTSIndex::rebuild`].
-    pub fn update(
-        &mut self,
-        ids: &[u32],
-        rects: &[Rect<C, 2>],
-    ) -> Result<MutationReport, IndexError> {
-        let span = obs::span!("index.update");
-        if let Err(fault) = chaos::inject("core.mutation") {
-            return Err(IndexError::Injected { point: fault.point });
-        }
-        let start = Instant::now();
-        if ids.len() != rects.len() {
-            return Err(IndexError::LengthMismatch {
-                ids: ids.len(),
-                rects: rects.len(),
-            });
-        }
-        self.check_ids(ids)?;
-        for (i, r) in rects.iter().enumerate() {
-            if !(r.min.is_finite() && r.max.is_finite()) || r.is_empty() {
-                return Err(IndexError::InvalidRect { index: i });
-            }
-        }
-        let shrinks = self.any_on_live_bounds(ids);
-        let touched = self.apply_and_refit(ids, |cache, slot, pos| {
-            cache[slot] = rects[pos];
-        })?;
-        if shrinks {
-            self.recompute_live_bounds();
-        } else {
-            for r in rects {
-                self.live_bounds.expand(r);
-            }
-        }
-        self.rebuild_ias();
-        let model = &self.device.cost_model;
-        let device_time = model.refit_time(touched) + model.ias_refit_time(self.gases.len());
-        span.device(device_time);
-        self.maint.accrue(device_time);
-        obs::counter("index.updated_rects").add(ids.len() as u64);
-        Ok(MutationReport {
-            affected: ids.len(),
-            device_time,
-            wall_time: start.elapsed(),
-        })
-    }
-
-    /// Rebuilds every GAS from scratch over the current coordinates —
-    /// the recovery path when refit quality has degraded (§4.2, §6.7).
-    pub fn rebuild(&mut self) {
-        let _span = obs::span!("index.rebuild");
-        // Drop the IAS's shared references so a GAS no snapshot holds is
-        // rebuilt in place.
-        self.ias = Ias::build(&[]).expect("empty IAS");
-        for gas in &mut self.gases {
-            Gas::rebuild_shared(gas);
-        }
-        self.rebuild_ias();
-    }
-
-    /// Compacts the index, dropping deleted slots. Survivors are
-    /// re-split into fresh GASes of at most
-    /// [`IndexOptions::compact_batch_size`] rectangles each (in id
-    /// order), so post-compact mutations keep refitting only the batch
-    /// they touch — compaction used to collapse everything into one
-    /// mega-batch, making every later refit O(index).
-    /// **Ids are remapped**: the returned vector maps old id → new id
-    /// (`u32::MAX` for deleted). This is an extension beyond the paper's
-    /// API, useful after heavy churn.
-    pub fn compact(&mut self) -> Vec<u32> {
-        let _span = obs::span!("index.compact");
-        let mut remap = vec![u32::MAX; self.rects.len()];
-        let mut kept = Vec::with_capacity(self.live);
-        for (i, (r, &dead)) in self.rects.iter().zip(&self.deleted).enumerate() {
-            if !dead {
-                remap[i] = kept.len() as u32;
-                kept.push(*r);
-            }
-        }
-        self.rects = kept;
-        self.deleted = vec![false; self.rects.len()];
-        self.live = self.rects.len();
-        self.recompute_live_bounds();
-        self.maint = MaintenanceCredit::default();
-        let target = self.opts.compact_batch_size.max(1);
-        self.rebuild_batches(target);
-        obs::counter("index.compactions").inc();
-        remap
-    }
-
-    pub(crate) fn check_ids(&self, ids: &[u32]) -> Result<(), IndexError> {
-        check_id_batch(ids, &self.deleted)
-    }
-
-    /// Rebuilds the bottom level from the global rectangle cache: drops
-    /// every existing GAS and re-splits the id space into contiguous
-    /// batches of at most `target` primitives, then rebuilds the IAS.
-    /// Id-stable — slot `i` keeps global id `i`; deleted slots (already
-    /// degenerated in the cache) ride along unhittable.
-    pub(crate) fn rebuild_batches(&mut self, target: usize) {
-        // Drop the IAS's shared references first so nothing retains the
-        // old bottom level.
-        self.ias = Ias::build(&[]).expect("empty IAS");
-        self.gases.clear();
-        self.batch_offsets = vec![0];
-        let total = self.rects.len();
-        let mut lo = 0usize;
-        while lo < total {
-            let hi = (lo + target).min(total);
-            let aabbs: Vec<Rect<C, 3>> = self.rects[lo..hi].iter().map(lift).collect();
-            let gas = Gas::build(
-                aabbs,
-                BuildOptions {
-                    allow_update: true,
-                    quality: self.opts.quality,
-                    leaf_size: self.opts.leaf_size,
-                },
-            )
-            .expect("cached rectangles are always finite");
-            self.gases.push(Arc::new(gas));
-            self.batch_offsets.push(hi as u32);
-            lo = hi;
-        }
-        self.rebuild_ias();
-    }
-
-    /// Applies `mutate(global_cache, slot, position_in_ids)` for each id,
-    /// then refits every touched GAS from the global cache. Returns the
-    /// total primitive count of the touched GASes (refit work).
-    fn apply_and_refit<F>(&mut self, ids: &[u32], mutate: F) -> Result<usize, IndexError>
-    where
-        F: Fn(&mut [Rect<C, 2>], usize, usize),
-    {
-        for (pos, &id) in ids.iter().enumerate() {
-            mutate(&mut self.rects, id as usize, pos);
-        }
-        // Which batches were touched?
-        let mut touched: Vec<usize> = ids.iter().map(|&id| self.batch_of(id)).collect();
-        touched.sort_unstable();
-        touched.dedup();
-        // Drop the IAS's Arcs so a GAS no published snapshot holds is
-        // refit in place; a held one is refit by copy.
-        self.ias = Ias::build(&[]).expect("empty IAS");
-        let mut total = 0usize;
-        for &b in &touched {
-            let lo = self.batch_offsets[b] as usize;
-            let hi = self.batch_offsets[b + 1] as usize;
-            let fresh: Vec<Rect<C, 3>> = self.rects[lo..hi].iter().map(lift).collect();
-            Gas::refit_shared(&mut self.gases[b], fresh)?;
-            total += hi - lo;
-        }
-        Ok(total)
-    }
-
-    /// Batch containing global id `id` (binary search over prefix sums).
-    fn batch_of(&self, id: u32) -> usize {
-        match self.batch_offsets.binary_search(&id) {
-            Ok(b) if b < self.gases.len() => b,
-            Ok(b) => b - 1,
-            Err(b) => b - 1,
-        }
-    }
-
-    pub(crate) fn rebuild_ias(&mut self) {
-        let instances: Vec<Instance<C>> = self
-            .gases
-            .iter()
-            .enumerate()
-            .map(|(i, gas)| Instance::identity(Arc::clone(gas), i as u32))
-            .collect();
-        self.ias = Ias::build(&instances).expect("identity instances cannot fail");
-    }
-
-    // ------------------------------------------------------------------
-    // Queries (§3)
-    // ------------------------------------------------------------------
-
-    /// Point query `Q(R, S)` (§3.1): calls `handler(rect_id, point_id)`
-    /// for every indexed rectangle containing each query point.
-    pub fn point_query<H: QueryHandler>(&self, points: &[Point<C, 2>], handler: &H) -> QueryReport {
-        queries::point::run(self.snapshot(), points, handler)
     }
 
     /// Range query `Q(R, S)` with the given predicate (§3.2–§3.3).
@@ -582,13 +662,6 @@ impl<C: Coord> RTSIndex<C> {
         plan
     }
 
-    /// Convenience: point query collecting `(rect_id, point_id)` pairs.
-    pub fn collect_point_query(&self, points: &[Point<C, 2>]) -> Vec<ResultPair> {
-        let h = CollectingHandler::new();
-        self.point_query(points, &h);
-        h.into_sorted_vec()
-    }
-
     /// Convenience: range query collecting `(rect_id, query_id)` pairs.
     pub fn collect_range_query(
         &self,
@@ -599,58 +672,126 @@ impl<C: Coord> RTSIndex<C> {
         self.range_query(predicate, queries_in, &h);
         h.into_sorted_vec()
     }
-
-    /// Read-only view shared with the query implementations.
-    pub(crate) fn snapshot(&self) -> Snapshot<'_, C> {
-        Snapshot {
-            rects: &self.rects,
-            deleted: &self.deleted,
-            batch_offsets: &self.batch_offsets,
-            ias: &self.ias,
-            device: &self.device,
-            opts: &self.opts,
-            live: self.live,
-            live_bounds: self.live_bounds,
-            query_gas_cache: &self.query_gas_cache,
-        }
-    }
 }
 
 /// Read-only index state handed to query programs.
 #[derive(Clone, Copy)]
-pub(crate) struct Snapshot<'a, C: Coord> {
-    pub rects: &'a [Rect<C, 2>],
+pub(crate) struct Snapshot<'a, C: Coord, const D: usize> {
+    pub rects: &'a [Rect<C, D>],
     pub deleted: &'a [bool],
     pub batch_offsets: &'a [u32],
-    pub ias: &'a Ias<C>,
+    pub gases: &'a [Arc<Gas<C>>],
+    pub ias: Option<&'a Ias<C>>,
     pub device: &'a Device,
     pub opts: &'a IndexOptions,
     pub live: usize,
     /// [`RTSIndex::bounds`].
-    pub live_bounds: Rect<C, 2>,
+    pub live_bounds: Rect<C, D>,
     pub query_gas_cache: &'a GasCache<C>,
 }
 
-impl<C: Coord> Snapshot<'_, C> {
+impl<C: Coord, const D: usize> Snapshot<'_, C, D> {
     /// Global primitive id from an instance id (batch) and the per-GAS
-    /// primitive index — the O(1) prefix-sum mapping of §4.1.
+    /// primitive index — the O(1) prefix-sum mapping of §4.1. The 3-D
+    /// engine's one GAS holds every id at its own index.
     #[inline]
     pub fn global_id(&self, instance_id: u32, primitive_index: u32) -> u32 {
-        self.batch_offsets[instance_id as usize] + primitive_index
+        if D == 2 {
+            self.batch_offsets[instance_id as usize] + primitive_index
+        } else {
+            primitive_index
+        }
+    }
+
+    /// Traces `ray` through the index: through the IAS over the batches
+    /// in 2-D (§4.1); straight into the one GAS in 3-D, where an IAS
+    /// would cost every ray an instance visit and a TLAS node.
+    #[inline]
+    pub fn trace<P: RtProgram<C>>(
+        &self,
+        session: &mut TraceSession<'_, C>,
+        program: &P,
+        ray: &Ray<C, 3>,
+        payload: &mut P::Payload,
+    ) {
+        if D == 2 {
+            session.trace(self.ias(), program, ray, payload);
+        } else {
+            session.trace(&*self.gases[0], program, ray, payload);
+        }
+    }
+
+    /// World bounds of what [`trace`](Self::trace) enters.
+    pub fn trace_bounds(&self) -> Rect<C, 3> {
+        if D == 2 {
+            self.ias().bounds()
+        } else {
+            self.gases[0].bounds()
+        }
+    }
+
+    /// The 2-D index's IAS.
+    pub fn ias(&self) -> &Ias<C> {
+        self.ias
+            .expect("a 2-D index links its batches under an IAS")
     }
 }
 
-/// Embeds a 2-D rectangle into the 3-D primitive space at `z = 0` (§3.1).
+/// The 2-D or the 3-D engine's name for a span, counter or trace kind:
+/// the engines keep their own names (`index3.*`, `query3.*`, `point3`,
+/// …) so metrics, budgets and traces tell them apart.
+pub(crate) fn dim_name<const D: usize>(two: &'static str, three: &'static str) -> &'static str {
+    if D == 2 {
+        two
+    } else {
+        three
+    }
+}
+
+/// Places a point in the 3-D ray space: a 2-D point at z = 0 (§3.1), a
+/// 3-D point as it is.
 #[inline]
-pub(crate) fn lift<C: Coord>(r: &Rect<C, 2>) -> Rect<C, 3> {
-    r.lift(C::ZERO, C::ZERO)
+pub(crate) fn place_point<C: Coord, const D: usize>(p: &Point<C, D>) -> Point<C, 3> {
+    let mut out = Point::origin();
+    out.coords[..D].copy_from_slice(&p.coords);
+    out
+}
+
+/// Places a rectangle in the 3-D ray space: a 2-D one at z = 0 (§3.1), a
+/// 3-D box as it is.
+#[inline]
+pub(crate) fn place<C: Coord, const D: usize>(r: &Rect<C, D>) -> Rect<C, 3> {
+    Rect {
+        min: place_point(&r.min),
+        max: place_point(&r.max),
+    }
+}
+
+/// A rectangle the engine can index or cast: finite coordinates and
+/// non-inverted extents. Any other query rectangle matches nothing and
+/// must stay out of a query-side GAS, whose build rejects non-finite
+/// boxes.
+#[inline]
+pub(crate) fn is_valid_rect<C: Coord, const D: usize>(r: &Rect<C, D>) -> bool {
+    r.min.is_finite() && r.max.is_finite() && !r.is_empty()
+}
+
+/// Rejects a rectangle batch holding an invalid rectangle (see
+/// [`is_valid_rect`]), naming the first.
+pub(crate) fn check_rects<C: Coord, const D: usize>(
+    rects: &[Rect<C, D>],
+) -> Result<(), IndexError> {
+    match rects.iter().position(|r| !is_valid_rect(r)) {
+        Some(index) => Err(IndexError::InvalidRect { index }),
+        None => Ok(()),
+    }
 }
 
 /// Validates a mutation id batch against the deletion bitmap (the id
 /// space is `0..deleted.len()`): every id must name an existing live
 /// slot, and no id may repeat within the batch — a duplicate would
 /// double-apply the mutation (a repeated delete decrements `live` twice
-/// for one slot). Shared by the 2-D and 3-D engines.
+/// for one slot).
 ///
 /// O(k log k) in the batch size `k`. The previous implementation
 /// allocated an O(n) bitmap over the whole id space per call, so a
@@ -660,7 +801,7 @@ pub(crate) fn lift<C: Coord>(r: &Rect<C, 2>) -> Rect<C, 3> {
 /// scan: the reported error is the one at the smallest *position* in
 /// `ids`, and at a tied position unknown/already-deleted wins over
 /// duplicate (a repeated unknown id reports `UnknownId`).
-pub(crate) fn check_id_batch(ids: &[u32], deleted: &[bool]) -> Result<(), IndexError> {
+fn check_id_batch(ids: &[u32], deleted: &[bool]) -> Result<(), IndexError> {
     let len = deleted.len();
     let mut bad: Option<(usize, IndexError)> = None;
     for (pos, &id) in ids.iter().enumerate() {
@@ -735,29 +876,25 @@ mod tests {
                 .collect();
             index.insert(&batch).unwrap();
         }
+        let ias = index.ias.as_ref().unwrap();
         let host_bytes = index.rects.len() * std::mem::size_of::<Rect<f32, 2>>()
             + index.deleted.len()
             + index.batch_offsets.len() * std::mem::size_of::<u32>();
         let gas_sum: usize = index.gases.iter().map(|g| g.memory_bytes()).sum();
         assert_eq!(
             index.memory_bytes(),
-            host_bytes + gas_sum + index.ias.tlas_memory_bytes()
+            host_bytes + gas_sum + ias.tlas_memory_bytes()
         );
         // The IAS links every batch exactly once, so its deduplicated
         // total must match the explicit sum.
-        assert_eq!(
-            index.ias.memory_bytes(),
-            gas_sum + index.ias.tlas_memory_bytes()
-        );
+        assert_eq!(ias.memory_bytes(), gas_sum + ias.tlas_memory_bytes());
 
         // Mutations must preserve the identity (delete refits in place,
         // insert adds one GAS).
         index.delete(&[0, 5, 17, 33]).unwrap();
         let gas_sum: usize = index.gases.iter().map(|g| g.memory_bytes()).sum();
-        assert_eq!(
-            index.ias.memory_bytes(),
-            gas_sum + index.ias.tlas_memory_bytes()
-        );
+        let ias = index.ias.as_ref().unwrap();
+        assert_eq!(ias.memory_bytes(), gas_sum + ias.tlas_memory_bytes());
         assert!(index.memory_bytes() >= gas_sum);
     }
 

@@ -1,10 +1,15 @@
-//! 3-D spatial index — the `N_DIMS = 3` instantiation the paper's API
-//! advertises (§5: `N_DIMS` is 2 or 3; §3: "extending to 3D is
-//! straightforward since OptiX operates natively in 3D space").
+//! 3-D spatial index — the `N_DIMS = 3` instantiation of [`RTSIndex`]
+//! the paper's API advertises (§5: `N_DIMS` is 2 or 3; §3: "extending to
+//! 3D is straightforward since OptiX operates natively in 3D space").
 //!
-//! Point queries and Range-Contains carry over verbatim: a point probe
-//! ray works in any dimension (Case-2 detection + exact filtering), and
-//! the center-point reduction of §3.2 is dimension-independent.
+//! [`RTSIndex3`] is the same engine as the 2-D index: validation,
+//! deletion, update, rebuild, compaction, maintenance, point queries and
+//! Range-Contains run one code path for both dimensions (a point probe
+//! ray works in any dimension, and the center-point reduction of §3.2 is
+//! dimension-independent). It is built once, into a single GAS that rays
+//! enter directly (no IAS, so a 3-D ray pays no instance visit); 3-D
+//! insert is not offered.
+//!
 //! Range-Intersects does *not* carry over: Theorem 1 is a planar
 //! statement — in 3-D, two boxes can overlap without either box's main
 //! diagonal entering the other (their intersection can be a thin slab
@@ -18,106 +23,22 @@
 use std::sync::Arc;
 use std::time::Instant;
 
-use geom::{Coord, Point, Ray, Rect};
-use rtcore::{BuildOptions, Device, Gas, GasCache, HitContext, IsResult, RtProgram};
+use geom::{Coord, Ray, Rect};
+use rtcore::{BuildOptions, HitContext, IsResult, RtProgram};
 
 use crate::config::IndexOptions;
 use crate::error::IndexError;
 use crate::handlers::{CollectingHandler, QueryHandler, ResultPair};
-use crate::index::check_id_batch;
-use crate::maintenance::MaintenanceCredit;
-use crate::report::{Breakdown, MutationReport, Phase, QueryReport};
+use crate::index::{check_rects, is_valid_rect, RTSIndex};
+use crate::queries;
+use crate::report::QueryReport;
 
-/// A 3-D rectangle (box) index supporting point queries, Range-Contains,
-/// Range-Intersects and deletion. Unlike [`crate::RTSIndex`], the 3-D
-/// variant has no batch instancing (the evaluation only exercises 2-D
-/// insert/update; instancing works identically and could be layered on),
-/// but it supports the paper's §4.2 deletion trick directly on its single
-/// GAS: deleted boxes are degenerated to zero extent and refit.
-pub struct RTSIndex3<C: Coord> {
-    pub(crate) device: Device,
-    pub(crate) boxes: Vec<Rect<C, 3>>,
-    pub(crate) deleted: Vec<bool>,
-    pub(crate) live: usize,
-    /// The single data GAS, behind an [`Arc`] so `clone` is structural
-    /// sharing rather than a deep copy. Mutation goes through
-    /// [`Arc::make_mut`] — copy-on-write, so clones published elsewhere
-    /// (e.g. by `ConcurrentIndex3`) are never disturbed.
-    pub(crate) gas: Arc<Gas<C>>,
-    /// Content-addressed cache of per-batch query-side GASes built by
-    /// [`RTSIndex3::intersects_query`]. Shared across clones: the cache
-    /// keys on the exact expanded query batch, so sharing can never
-    /// serve a stale structure.
-    query_gas_cache: Arc<GasCache<C>>,
-    /// Largest half-extent per axis over all indexed boxes — the
-    /// Minkowski bound used by the intersects candidate pass. Kept at
-    /// its build-time value after deletions (still a valid upper bound
-    /// for every live box).
-    pub(crate) max_half: Point<C, 3>,
-    /// Amortization ledger for automatic maintenance (modeled device
-    /// time accrued by mutations vs spent by maintenance).
-    pub(crate) maint: MaintenanceCredit,
-}
-
-impl<C: Coord> Clone for RTSIndex3<C> {
-    /// Structural-sharing clone: the GAS (the dominant allocation — BVH
-    /// nodes, wide nodes, AABBs) is shared via [`Arc`], so cloning costs
-    /// O(boxes) for the side tables instead of a full accel rebuild-sized
-    /// copy. Mutating either clone copies the GAS on write
-    /// ([`Arc::make_mut`] in [`RTSIndex3::delete`]).
-    fn clone(&self) -> Self {
-        Self {
-            device: self.device.clone(),
-            boxes: self.boxes.clone(),
-            deleted: self.deleted.clone(),
-            live: self.live,
-            gas: Arc::clone(&self.gas),
-            query_gas_cache: Arc::clone(&self.query_gas_cache),
-            max_half: self.max_half,
-            maint: self.maint,
-        }
-    }
-}
-
-struct Point3Program<'a, C: Coord, H: QueryHandler> {
-    boxes: &'a [Rect<C, 3>],
-    deleted: &'a [bool],
-    points: &'a [Point<C, 3>],
-    handler: &'a H,
-}
-
-impl<C: Coord, H: QueryHandler> RtProgram<C> for Point3Program<'_, C, H> {
-    type Payload = u32;
-
-    #[inline]
-    fn intersection(&self, ctx: &HitContext<'_, C>, qid: &mut u32) -> IsResult<C> {
-        let rid = ctx.primitive_index as usize;
-        if !self.deleted[rid] && self.boxes[rid].contains_point(&self.points[*qid as usize]) {
-            self.handler.handle(ctx.primitive_index, *qid);
-        }
-        IsResult::Ignore
-    }
-}
-
-struct Contains3Program<'a, C: Coord, H: QueryHandler> {
-    boxes: &'a [Rect<C, 3>],
-    deleted: &'a [bool],
-    queries: &'a [Rect<C, 3>],
-    handler: &'a H,
-}
-
-impl<C: Coord, H: QueryHandler> RtProgram<C> for Contains3Program<'_, C, H> {
-    type Payload = u32;
-
-    #[inline]
-    fn intersection(&self, ctx: &HitContext<'_, C>, qid: &mut u32) -> IsResult<C> {
-        let rid = ctx.primitive_index as usize;
-        if !self.deleted[rid] && self.boxes[rid].contains_rect(&self.queries[*qid as usize]) {
-            self.handler.handle(ctx.primitive_index, *qid);
-        }
-        IsResult::Ignore
-    }
-}
+/// A 3-D box index: [`RTSIndex`] with `D = 3`. It supports point
+/// queries, Range-Contains, Range-Intersects, deletion, update,
+/// compaction and maintenance; the paper's §4.2 deletion trick works
+/// directly on its single GAS (deleted boxes are degenerated to zero
+/// extent and refit).
+pub type RTSIndex3<C> = RTSIndex<C, 3>;
 
 /// Backward-style 3-D intersects program: primitives are the *queries*
 /// (Minkowski-expanded), rays are point probes from data-box centers.
@@ -147,232 +68,23 @@ impl<C: Coord, H: QueryHandler> RtProgram<C> for Intersects3Program<'_, C, H> {
 }
 
 impl<C: Coord> RTSIndex3<C> {
-    /// Builds the index over 3-D boxes.
+    /// Builds the index over 3-D boxes, into one GAS.
     pub fn build(boxes: &[Rect<C, 3>], opts: IndexOptions) -> Result<Self, IndexError> {
-        for (i, b) in boxes.iter().enumerate() {
-            if !(b.min.is_finite() && b.max.is_finite()) || b.is_empty() {
-                return Err(IndexError::InvalidRect { index: i });
-            }
-        }
-        let mut max_half: Point<C, 3> = Point::origin();
+        check_rects(boxes)?;
+        let mut index = Self::empty(opts);
+        // Built before the boxes are cached, so that the build's peak
+        // memory does not also hold the cache.
+        let gas = index.build_gas(boxes)?;
+        index.gases.push(Arc::new(gas));
+        index.batch_offsets.push(boxes.len() as u32);
+        index.rects = boxes.to_vec();
+        index.deleted = vec![false; boxes.len()];
+        index.live = boxes.len();
         for b in boxes {
-            for d in 0..3 {
-                max_half.coords[d] = max_half.coords[d].max_c(b.extent(d) * C::HALF);
-            }
+            index.live_bounds.expand(b);
         }
-        let gas = Gas::build(
-            boxes.to_vec(),
-            BuildOptions {
-                allow_update: true,
-                quality: opts.quality,
-                leaf_size: opts.leaf_size,
-            },
-        )?;
-        Ok(Self {
-            device: Device {
-                cost_model: opts.cost_model,
-            },
-            boxes: boxes.to_vec(),
-            deleted: vec![false; boxes.len()],
-            live: boxes.len(),
-            gas: Arc::new(gas),
-            query_gas_cache: Arc::new(GasCache::new()),
-            max_half,
-            maint: MaintenanceCredit::default(),
-        })
-    }
-
-    /// Total id capacity including deleted slots (ids are stable until
-    /// [`RTSIndex3::compact`]).
-    pub fn capacity_ids(&self) -> usize {
-        self.boxes.len()
-    }
-
-    /// Number of live (non-deleted) boxes.
-    pub fn len(&self) -> usize {
-        self.live
-    }
-
-    /// `true` when no live boxes remain.
-    pub fn is_empty(&self) -> bool {
-        self.live == 0
-    }
-
-    /// Validates a mutation id batch: every id must name an existing,
-    /// live box, and no id may repeat within the batch (a duplicate
-    /// would double-count the live decrement — same invariant as
-    /// [`crate::RTSIndex`]). Shares the sort-based validator with the
-    /// 2-D engine, including its positional error precedence.
-    fn check_ids(&self, ids: &[u32]) -> Result<(), IndexError> {
-        check_id_batch(ids, &self.deleted)
-    }
-
-    /// Deletes boxes by id — the paper's §4.2 trick: each deleted box is
-    /// degenerated to zero extent in the GAS (unhittable) and the GAS is
-    /// refit; the deleted bitmap guards exact filtering against the rare
-    /// probe that lands exactly on the collapsed corner.
-    pub fn delete(&mut self, ids: &[u32]) -> Result<MutationReport, IndexError> {
-        let span = obs::span!("index3.delete");
-        // Same chaos point as the 2-D index: one hit per mutation batch.
-        if let Err(fault) = chaos::inject("core.mutation") {
-            return Err(IndexError::Injected { point: fault.point });
-        }
-        let start = Instant::now();
-        self.check_ids(ids)?;
-        // Copy-on-write: clones sharing this GAS (concurrent readers)
-        // keep the pre-delete structure; only this index pays the copy.
-        let mut fresh = self.gas.aabbs().to_vec();
-        for &id in ids {
-            fresh[id as usize] = fresh[id as usize].degenerated();
-        }
-        Gas::refit_shared(&mut self.gas, fresh).map_err(IndexError::Accel)?;
-        for &id in ids {
-            self.deleted[id as usize] = true;
-        }
-        self.live -= ids.len();
-        let device_time = self.device.cost_model.refit_time(self.boxes.len());
-        span.device(device_time);
-        self.maint.accrue(device_time);
-        obs::counter("index3.deleted_rects").add(ids.len() as u64);
-        Ok(MutationReport {
-            affected: ids.len(),
-            device_time,
-            wall_time: start.elapsed(),
-        })
-    }
-
-    /// Updates box coordinates in place: overwrites the cached
-    /// primitives and refits the single GAS (§4.2) — the 3-D
-    /// counterpart of [`crate::RTSIndex::update`]. The Minkowski bound
-    /// `max_half` grows monotonically when an update enlarges a box
-    /// (shrinking it would invalidate the intersects candidate pass for
-    /// boxes still at the old extent), so heavy growth-then-shrink
-    /// churn leaves the bound conservative — correct, just more
-    /// candidates, and [`RTSIndex3::compact`] re-tightens it.
-    pub fn update(
-        &mut self,
-        ids: &[u32],
-        boxes: &[Rect<C, 3>],
-    ) -> Result<MutationReport, IndexError> {
-        let span = obs::span!("index3.update");
-        if let Err(fault) = chaos::inject("core.mutation") {
-            return Err(IndexError::Injected { point: fault.point });
-        }
-        let start = Instant::now();
-        if ids.len() != boxes.len() {
-            return Err(IndexError::LengthMismatch {
-                ids: ids.len(),
-                rects: boxes.len(),
-            });
-        }
-        self.check_ids(ids)?;
-        for (i, b) in boxes.iter().enumerate() {
-            if !(b.min.is_finite() && b.max.is_finite()) || b.is_empty() {
-                return Err(IndexError::InvalidRect { index: i });
-            }
-        }
-        let mut fresh = self.gas.aabbs().to_vec();
-        for (pos, &id) in ids.iter().enumerate() {
-            fresh[id as usize] = boxes[pos];
-        }
-        Gas::refit_shared(&mut self.gas, fresh).map_err(IndexError::Accel)?;
-        for (pos, &id) in ids.iter().enumerate() {
-            self.boxes[id as usize] = boxes[pos];
-            for d in 0..3 {
-                self.max_half.coords[d] =
-                    self.max_half.coords[d].max_c(boxes[pos].extent(d) * C::HALF);
-            }
-        }
-        let device_time = self.device.cost_model.refit_time(self.boxes.len());
-        span.device(device_time);
-        self.maint.accrue(device_time);
-        obs::counter("index3.updated_rects").add(ids.len() as u64);
-        Ok(MutationReport {
-            affected: ids.len(),
-            device_time,
-            wall_time: start.elapsed(),
-        })
-    }
-
-    /// Rebuilds the GAS from scratch over the current coordinates — the
-    /// recovery path when refit quality has degraded (§4.2, §6.7).
-    /// Id-stable: deleted slots stay degenerated.
-    pub fn rebuild(&mut self) {
-        let _span = obs::span!("index3.rebuild");
-        Gas::rebuild_shared(&mut self.gas);
-    }
-
-    /// Compacts the index, dropping deleted slots and re-tightening the
-    /// Minkowski bound — the 3-D counterpart of
-    /// [`crate::RTSIndex::compact`]. **Ids are remapped**: the returned
-    /// vector maps old id → new id (`u32::MAX` for deleted).
-    pub fn compact(&mut self) -> Vec<u32> {
-        let _span = obs::span!("index3.compact");
-        let mut remap = vec![u32::MAX; self.boxes.len()];
-        let mut kept = Vec::with_capacity(self.live);
-        for (i, (b, &dead)) in self.boxes.iter().zip(&self.deleted).enumerate() {
-            if !dead {
-                remap[i] = kept.len() as u32;
-                kept.push(*b);
-            }
-        }
-        let mut max_half: Point<C, 3> = Point::origin();
-        for b in &kept {
-            for d in 0..3 {
-                max_half.coords[d] = max_half.coords[d].max_c(b.extent(d) * C::HALF);
-            }
-        }
-        let gas =
-            Gas::build(kept.clone(), self.gas.options()).expect("cached boxes are always finite");
-        self.boxes = kept;
-        self.deleted = vec![false; self.boxes.len()];
-        self.live = self.boxes.len();
-        self.gas = Arc::new(gas);
-        self.max_half = max_half;
-        self.maint = MaintenanceCredit::default();
-        obs::counter("index3.compactions").inc();
-        remap
-    }
-
-    /// 3-D point query (§3.1 in three dimensions): one probe ray per
-    /// point, Case-2 detection, exact filtering in IS.
-    pub fn point_query<H: QueryHandler>(&self, points: &[Point<C, 3>], handler: &H) -> QueryReport {
-        let wall_start = Instant::now();
-        let span = obs::span!("query3.point");
-        let results = obs::Counter::standalone();
-        let counted = crate::queries::CountResults {
-            inner: handler,
-            count: &results,
-        };
-        let program = Point3Program {
-            boxes: &self.boxes,
-            deleted: &self.deleted,
-            points,
-            handler: &counted,
-        };
-        let keys = crate::queries::probe_keys(&self.gas.bounds(), points.len(), |i| {
-            let p = points[i];
-            p.is_finite().then_some(p)
-        });
-        let launch = self.device.launch_by_key::<C, _>(&keys, |i, session| {
-            let p = points[i];
-            if !p.is_finite() {
-                return;
-            }
-            session.trace(&*self.gas, &program, &Ray::point_probe(p), &mut (i as u32));
-        });
-        span.device(launch.device_time);
-        let report = wrap(launch);
-        crate::queries::record_batch_trace(
-            "point3",
-            points.len() as u64,
-            points.iter().filter(|p| p.is_finite()).count() as u64,
-            self.live as u64,
-            &report,
-            results.value(),
-            wall_start,
-        );
-        report
+        Self::grow_max_half(&mut index.max_half, boxes);
+        Ok(index)
     }
 
     /// 3-D Range-Contains: center-point reduction (§3.2), exact filter.
@@ -381,47 +93,7 @@ impl<C: Coord> RTSIndex3<C> {
         queries: &[Rect<C, 3>],
         handler: &H,
     ) -> QueryReport {
-        let wall_start = Instant::now();
-        let span = obs::span!("query3.contains");
-        let results = obs::Counter::standalone();
-        let counted = crate::queries::CountResults {
-            inner: handler,
-            count: &results,
-        };
-        let program = Contains3Program {
-            boxes: &self.boxes,
-            deleted: &self.deleted,
-            queries,
-            handler: &counted,
-        };
-        let keys = crate::queries::probe_keys(&self.gas.bounds(), queries.len(), |i| {
-            let q = &queries[i];
-            is_valid_query3(q).then(|| q.center())
-        });
-        let launch = self.device.launch_by_key::<C, _>(&keys, |i, session| {
-            let q = &queries[i];
-            if !is_valid_query3(q) {
-                return;
-            }
-            session.trace(
-                &*self.gas,
-                &program,
-                &Ray::point_probe(q.center()),
-                &mut (i as u32),
-            );
-        });
-        span.device(launch.device_time);
-        let report = wrap(launch);
-        crate::queries::record_batch_trace(
-            "contains3",
-            queries.len() as u64,
-            queries.iter().filter(|q| is_valid_query3(q)).count() as u64,
-            self.live as u64,
-            &report,
-            results.value(),
-            wall_start,
-        );
-        report
+        queries::contains::run(self.snapshot(), queries, handler)
     }
 
     /// 3-D Range-Intersects via the Minkowski center-probe formulation.
@@ -446,7 +118,7 @@ impl<C: Coord> RTSIndex3<C> {
         let wall_start = Instant::now();
         let span = obs::span!("query3.intersects");
         let results = obs::Counter::standalone();
-        let counted = crate::queries::CountResults {
+        let counted = queries::CountResults {
             inner: handler,
             count: &results,
         };
@@ -459,7 +131,7 @@ impl<C: Coord> RTSIndex3<C> {
         let valid_ids: Vec<u32> = (0..queries.len() as u32)
             .filter(|&qi| {
                 let q = &queries[qi as usize];
-                let valid = is_valid_query3(q);
+                let valid = is_valid_rect(q);
                 if valid {
                     batch_box.expand(q);
                 }
@@ -473,7 +145,7 @@ impl<C: Coord> RTSIndex3<C> {
                 chosen_k: 1,
                 ..Default::default()
             };
-            crate::queries::record_batch_trace(
+            queries::record_batch_trace(
                 "intersects3",
                 queries.len() as u64,
                 valid_ids.len() as u64,
@@ -512,29 +184,29 @@ impl<C: Coord> RTSIndex3<C> {
             )
             .expect("expanded finite queries");
         let program = Intersects3Program {
-            boxes: &self.boxes,
+            boxes: &self.rects,
             valid_ids: &valid_ids,
             queries,
             handler: &counted,
         };
         // Only live boxes that touch B cast probes: a box that misses B
         // intersects no query, so its probe could only miss. The filter
-        // is a linear scan, not a tree walk: corridor batches span the
-        // map, so nearly every box touches B and a walk costs more than
-        // it skips.
-        let cast_ids: Vec<u32> = (0..self.boxes.len() as u32)
-            .filter(|&i| !self.deleted[i as usize] && self.boxes[i as usize].intersects(&batch_box))
+        // is a linear scan, not the 2-D backward pass's box walk:
+        // corridor batches span the map, so nearly every box touches B
+        // and a walk costs more than it skips.
+        let cast_ids: Vec<u32> = (0..self.rects.len() as u32)
+            .filter(|&i| !self.deleted[i as usize] && self.rects[i as usize].intersects(&batch_box))
             .collect();
         // Index order, not `launch_by_key`: the probes walk the per-batch
         // query GAS, which stays in cache, and read `boxes` in id order.
         let launch = self.device.launch::<C, _>(cast_ids.len(), |i, session| {
             let mut rid = cast_ids[i];
-            let c = self.boxes[rid as usize].center();
+            let c = self.rects[rid as usize].center();
             session.trace(&*query_gas, &program, &Ray::point_probe(c), &mut rid);
         });
         span.device(launch.device_time);
-        let report = wrap(launch);
-        crate::queries::record_batch_trace(
+        let report = queries::single_launch(launch);
+        queries::record_batch_trace(
             "intersects3",
             queries.len() as u64,
             valid_ids.len() as u64,
@@ -544,13 +216,6 @@ impl<C: Coord> RTSIndex3<C> {
             wall_start,
         );
         report
-    }
-
-    /// Convenience collectors.
-    pub fn collect_point_query(&self, points: &[Point<C, 3>]) -> Vec<ResultPair> {
-        let h = CollectingHandler::new();
-        self.point_query(points, &h);
-        h.into_sorted_vec()
     }
 
     /// Collects Range-Intersects pairs, sorted.
@@ -568,31 +233,10 @@ impl<C: Coord> RTSIndex3<C> {
     }
 }
 
-/// A castable 3-D query box: finite coordinates and non-inverted extents.
-#[inline]
-fn is_valid_query3<C: Coord>(q: &Rect<C, 3>) -> bool {
-    q.min.is_finite() && q.max.is_finite() && !q.is_empty()
-}
-
-fn wrap(launch: rtcore::LaunchReport) -> QueryReport {
-    let forward = Phase {
-        device: launch.device_time,
-        wall: launch.wall_time,
-    };
-    QueryReport {
-        launch,
-        breakdown: Breakdown {
-            forward,
-            ..Default::default()
-        },
-        chosen_k: 1,
-        estimated_selectivity: None,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use geom::Point;
 
     fn grid3(n_per_axis: usize) -> Vec<Rect<f32, 3>> {
         let mut out = vec![];

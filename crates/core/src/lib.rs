@@ -28,6 +28,17 @@
 //! inserting never rebuilds existing BVHs. Deletes degenerate AABBs and
 //! refit; updates overwrite cached coordinates and refit.
 //!
+//! ## One engine for 2-D and 3-D (§5)
+//!
+//! [`RTSIndex<C, D>`](RTSIndex) is the paper's `RTSIndex<COORD_T,
+//! N_DIMS>`: `D` is 2 by default, and [`RTSIndex3`] and
+//! [`ConcurrentIndex3`] are the `D = 3` instantiations. Mutations,
+//! maintenance, point and Range-Contains queries and the concurrent
+//! wrapper are one code path for both. The 3-D index is built once
+//! into a single GAS that rays enter directly, and runs
+//! Range-Intersects as a Minkowski centre-probe pass ([`index3d`]),
+//! since Theorem 1 is planar.
+//!
 //! ## Quick start
 //!
 //! ```

@@ -19,6 +19,12 @@
 //! | threshold exceeded but the rebuild is unaffordable | per GAS | **Refit**: re-tighten bounds from the authoritative cache (bounded stopgap; drift stays flagged) |
 //! | otherwise | — | **NoOp** |
 //!
+//! Both dimensions run the same driver. The 3-D index is one GAS, so its
+//! id-stable repack is that GAS's rebuild: the dead-slot trigger marks
+//! the GAS for **Rebuild** (through the same rebuild → refit → defer
+//! ladder as drift) instead of choosing **Compact**, and no IAS cost is
+//! charged.
+//!
 //! # Cost-model amortization
 //!
 //! Every decision is budgeted in *modeled device time* (the same
@@ -42,10 +48,9 @@ use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
 use geom::Coord;
-use rtcore::{Gas, Ias, QualityReport, TraversalBackend};
+use rtcore::{Gas, QualityReport, TraversalBackend};
 
-use crate::index::{lift, RTSIndex};
-use crate::index3d::RTSIndex3;
+use crate::index::{dim_name, place, RTSIndex};
 
 // ---------------------------------------------------------------------------
 // Metric handles (process-global, cached)
@@ -342,34 +347,62 @@ fn publish_gauges(worst_sah: f64, worst_overlap: f64, dead: f64) {
 }
 
 // ---------------------------------------------------------------------------
-// 2-D engine
+// The driver (both dimensions)
 // ---------------------------------------------------------------------------
 
-impl<C: Coord> RTSIndex<C> {
+impl<C: Coord, const D: usize> RTSIndex<C, D> {
+    /// Deleted ids / capacity (0 for an empty index).
+    fn dead_fraction(&self) -> f64 {
+        if self.rects.is_empty() {
+            0.0
+        } else {
+            (self.rects.len() - self.live) as f64 / self.rects.len() as f64
+        }
+    }
+
+    /// `true` when the thresholds call for the Compact action: the 2-D
+    /// id-stable repack, a re-split of the id space into fresh batches
+    /// that resolves fragmentation (batch count) and dead slots at once.
+    fn wants_compact(&self, dead_fraction: f64, policy: &MaintenancePolicy) -> bool {
+        D == 2
+            && (dead_fraction > policy.max_dead_fraction || self.gases.len() > policy.max_batches)
+    }
+
+    /// `true` when the thresholds call for rebuilding the GAS `drift`
+    /// measures. The 3-D engine's id-stable repack *is* the rebuild of
+    /// its one GAS (the degenerate primitives re-cluster into dense
+    /// leaves), so there the dead-slot trigger joins the drift trigger
+    /// and shares its rebuild → refit → defer ladder; the explicit,
+    /// id-remapping `compact()` stays a user call.
+    fn wants_rebuild(
+        &self,
+        drift: &GasDrift,
+        dead_fraction: f64,
+        policy: &MaintenancePolicy,
+    ) -> bool {
+        (drift.prims >= policy.min_gas_prims && drift.exceeds(policy))
+            || (D == 3 && dead_fraction > policy.max_dead_fraction)
+    }
+
     /// Measures quality drift, fragmentation, and the amortization
     /// ledger without mutating anything.
     pub fn maintenance_report(&self, policy: &MaintenancePolicy) -> MaintenanceReport {
+        let dead_fraction = self.dead_fraction();
         let mut gases = Vec::with_capacity(self.gases.len());
         for (b, gas) in self.gases.iter().enumerate() {
             let mut d = GasDrift::measure(b, gas.len(), gas.quality_baseline(), gas.quality());
-            if d.prims >= policy.min_gas_prims && d.exceeds(policy) {
+            if self.wants_rebuild(&d, dead_fraction, policy) {
                 d.wanted = MaintenanceAction::Rebuild;
             }
             gases.push(d);
         }
-        let dead_fraction = if self.rects.is_empty() {
-            0.0
+        let wanted = if self.wants_compact(dead_fraction, policy) {
+            MaintenanceAction::Compact
+        } else if gases.iter().any(|g| g.wanted != MaintenanceAction::NoOp) {
+            MaintenanceAction::Rebuild
         } else {
-            (self.rects.len() - self.live) as f64 / self.rects.len() as f64
+            MaintenanceAction::NoOp
         };
-        let wanted =
-            if dead_fraction > policy.max_dead_fraction || self.gases.len() > policy.max_batches {
-                MaintenanceAction::Compact
-            } else if gases.iter().any(|g| g.wanted != MaintenanceAction::NoOp) {
-                MaintenanceAction::Rebuild
-            } else {
-                MaintenanceAction::NoOp
-            };
         MaintenanceReport {
             gases,
             batches: self.gases.len(),
@@ -390,7 +423,7 @@ impl<C: Coord> RTSIndex<C> {
     /// All actions preserve ids and results exactly — queries against
     /// the maintained index return byte-identical pairs.
     pub fn maintain(&mut self, policy: &MaintenancePolicy) -> MaintenanceOutcome {
-        let span = obs::span!("index.maintain");
+        let span = obs::span!(dim_name::<D>("index.maintain", "index3.maintain"));
         m_checks().inc();
         let mut outcome = MaintenanceOutcome::default();
         if self.rects.is_empty() {
@@ -399,22 +432,19 @@ impl<C: Coord> RTSIndex<C> {
         }
         let model = self.device.cost_model;
         let mut budget = self.maint.budget_ns(policy.amortize_factor);
-        let dead_fraction = (self.rects.len() - self.live) as f64 / self.rects.len() as f64;
+        let dead_fraction = self.dead_fraction();
 
-        // Whole-index repack: resolves fragmentation (batch count) and
-        // dead slots in one pass and resets every baseline. Id-stable —
-        // unlike the explicit `compact()`, deleted slots keep riding
-        // along degenerated, so automatic maintenance never remaps ids
-        // under a serving workload.
+        // Whole-index repack: resets every baseline. Id-stable — unlike
+        // the explicit `compact()`, deleted slots keep riding along
+        // degenerated, so automatic maintenance never remaps ids under a
+        // serving workload.
         let target = policy.target_batch_size.max(1);
-        if policy.allow_structural
-            && (dead_fraction > policy.max_dead_fraction || self.gases.len() > policy.max_batches)
-        {
+        if policy.allow_structural && self.wants_compact(dead_fraction, policy) {
             let cost = model.build_time(self.rects.len(), TraversalBackend::RtCore)
                 + model.ias_build_time(self.rects.len().div_ceil(target));
             let cost_ns = cost.as_nanos() as f64;
             if cost_ns <= budget {
-                self.rebuild_batches(target);
+                self.repack(target);
                 self.maint.spend(cost);
                 budget -= cost_ns;
                 outcome.compacted = true;
@@ -430,11 +460,8 @@ impl<C: Coord> RTSIndex<C> {
             // Per-GAS decisions, planned first (reading), then executed.
             let mut plan: Vec<(usize, MaintenanceAction, Duration)> = Vec::new();
             for (b, gas) in self.gases.iter().enumerate() {
-                if gas.len() < policy.min_gas_prims {
-                    continue;
-                }
                 let drift = GasDrift::measure(b, gas.len(), gas.quality_baseline(), gas.quality());
-                if !drift.exceeds(policy) {
+                if !self.wants_rebuild(&drift, dead_fraction, policy) {
                     continue;
                 }
                 if policy.allow_structural {
@@ -455,9 +482,7 @@ impl<C: Coord> RTSIndex<C> {
                 }
             }
             if !plan.is_empty() {
-                // Drop the IAS's Arcs so a GAS no snapshot holds is
-                // rebuilt or refit in place.
-                self.ias = Ias::build(&[]).expect("empty IAS");
+                self.unlink();
                 for &(b, action, cost) in &plan {
                     match action {
                         MaintenanceAction::Rebuild => {
@@ -468,7 +493,7 @@ impl<C: Coord> RTSIndex<C> {
                         MaintenanceAction::Refit => {
                             let lo = self.batch_offsets[b] as usize;
                             let hi = self.batch_offsets[b + 1] as usize;
-                            let fresh: Vec<_> = self.rects[lo..hi].iter().map(lift).collect();
+                            let fresh: Vec<_> = self.rects[lo..hi].iter().map(place).collect();
                             Gas::refit_shared(&mut self.gases[b], fresh)
                                 .expect("cached rectangles are always finite");
                             outcome.refits += 1;
@@ -479,7 +504,7 @@ impl<C: Coord> RTSIndex<C> {
                     self.maint.spend(cost);
                     outcome.device_time += cost;
                 }
-                let ias_cost = model.ias_build_time(self.gases.len());
+                let ias_cost = self.ias_time(|batches| model.ias_build_time(batches));
                 self.maint.spend(ias_cost);
                 outcome.device_time += ias_cost;
                 self.rebuild_ias();
@@ -495,109 +520,7 @@ impl<C: Coord> RTSIndex<C> {
             worst_sah = worst_sah.max(d.sah_drift);
             worst_overlap = worst_overlap.max(d.overlap_drift);
         }
-        let dead_after = if self.rects.is_empty() {
-            0.0
-        } else {
-            (self.rects.len() - self.live) as f64 / self.rects.len() as f64
-        };
-        publish_gauges(worst_sah, worst_overlap, dead_after);
-        span.device(outcome.device_time);
-        outcome
-    }
-}
-
-// ---------------------------------------------------------------------------
-// 3-D engine
-// ---------------------------------------------------------------------------
-
-impl<C: Coord> RTSIndex3<C> {
-    /// Measures quality drift and the dead-slot fraction of the single
-    /// data GAS (see [`RTSIndex::maintenance_report`]).
-    pub fn maintenance_report(&self, policy: &MaintenancePolicy) -> MaintenanceReport {
-        let mut d = GasDrift::measure(
-            0,
-            self.gas.len(),
-            self.gas.quality_baseline(),
-            self.gas.quality(),
-        );
-        let dead_fraction = if self.boxes.is_empty() {
-            0.0
-        } else {
-            (self.boxes.len() - self.live) as f64 / self.boxes.len() as f64
-        };
-        // A single GAS has no instancing to repack: the id-stable
-        // recovery for dead slots and drift alike is a rebuild (the
-        // degenerate primitives re-cluster into dense leaves). The
-        // explicit, id-remapping `compact()` stays a user call.
-        if (d.prims >= policy.min_gas_prims && d.exceeds(policy))
-            || dead_fraction > policy.max_dead_fraction
-        {
-            d.wanted = MaintenanceAction::Rebuild;
-        }
-        let wanted = d.wanted;
-        MaintenanceReport {
-            gases: vec![d],
-            batches: 1,
-            dead_fraction,
-            credit: self.maint,
-            budget_ns: self.maint.budget_ns(policy.amortize_factor),
-            wanted,
-        }
-    }
-
-    /// Runs one maintenance pass on the single data GAS: rebuild when
-    /// quality drift or the dead-slot fraction exceeds the policy (and
-    /// the budget affords it), refit as the bounded stopgap. Id-stable,
-    /// deterministic — same contract as [`RTSIndex::maintain`].
-    pub fn maintain(&mut self, policy: &MaintenancePolicy) -> MaintenanceOutcome {
-        let span = obs::span!("index3.maintain");
-        m_checks().inc();
-        let mut outcome = MaintenanceOutcome::default();
-        if self.boxes.is_empty() {
-            m_noops().inc();
-            return outcome;
-        }
-        let model = self.device.cost_model;
-        let budget = self.maint.budget_ns(policy.amortize_factor);
-        let report = self.maintenance_report(policy);
-        if report.wanted == MaintenanceAction::Rebuild {
-            let rebuild = model.build_time(self.gas.len(), TraversalBackend::RtCore);
-            let refit = model.refit_time(self.gas.len());
-            if policy.allow_structural && rebuild.as_nanos() as f64 <= budget {
-                Gas::rebuild_shared(&mut self.gas);
-                self.maint.spend(rebuild);
-                outcome.rebuilds = 1;
-                outcome.device_time += rebuild;
-                m_rebuilds().inc();
-            } else if refit.as_nanos() as f64 <= budget {
-                let boxes = self.gas.aabbs().to_vec();
-                Gas::refit_shared(&mut self.gas, boxes)
-                    .expect("re-tightening existing finite boxes");
-                self.maint.spend(refit);
-                outcome.refits = 1;
-                outcome.device_time += refit;
-                m_refits().inc();
-            } else {
-                outcome.deferred = 1;
-                m_deferred().inc();
-            }
-        }
-        if !outcome.acted() {
-            m_noops().inc();
-        }
-        let d = GasDrift::measure(
-            0,
-            self.gas.len(),
-            self.gas.quality_baseline(),
-            self.gas.quality(),
-        );
-        publish_gauges(d.sah_drift.max(1.0), d.overlap_drift.max(0.0), {
-            if self.boxes.is_empty() {
-                0.0
-            } else {
-                (self.boxes.len() - self.live) as f64 / self.boxes.len() as f64
-            }
-        });
+        publish_gauges(worst_sah, worst_overlap, self.dead_fraction());
         span.device(outcome.device_time);
         outcome
     }
@@ -607,6 +530,7 @@ impl<C: Coord> RTSIndex3<C> {
 mod tests {
     use super::*;
     use crate::config::IndexOptions;
+    use crate::index3d::RTSIndex3;
     use geom::{Point, Rect};
 
     fn r(a: f32, b: f32, c: f32, d: f32) -> Rect<f32, 2> {
@@ -772,9 +696,9 @@ mod tests {
         let mut index3 = RTSIndex3::build(&boxes, IndexOptions::default()).unwrap();
         let held = index3.clone();
         index3.rebuild();
-        assert!(!Arc::ptr_eq(&index3.gas, &held.gas));
-        assert_eq!(held.gas.aabbs(), &boxes[..]);
-        assert_eq!(index3.gas.quality(), fresh_quality(&index3.gas));
+        assert!(!Arc::ptr_eq(&index3.gases[0], &held.gases[0]));
+        assert_eq!(held.gases[0].aabbs(), &boxes[..]);
+        assert_eq!(index3.gases[0].quality(), fresh_quality(&index3.gases[0]));
     }
 
     #[test]

@@ -1,7 +1,8 @@
 //! Range query with the `Contains` predicate (§3.2): reduced to a point
 //! query on each query rectangle's center — if `Contains(r, s)` then `r`
 //! contains the center of `s` — followed by exact predicate filtering in
-//! the IS shader.
+//! the IS shader. The reduction holds in any dimension, so the same code
+//! serves both.
 
 use std::time::Instant;
 
@@ -9,22 +10,16 @@ use geom::{Coord, Ray, Rect};
 use rtcore::{HitContext, IsResult, RtProgram};
 
 use crate::handlers::QueryHandler;
-use crate::index::Snapshot;
-use crate::report::{Phase, QueryReport};
+use crate::index::{dim_name, is_valid_rect, place_point, Snapshot};
+use crate::report::QueryReport;
 
-/// A castable `Contains` query: finite and non-inverted.
-#[inline]
-fn is_valid_query<C: Coord>(s: &Rect<C, 2>) -> bool {
-    s.min.is_finite() && s.max.is_finite() && !s.is_empty()
-}
-
-struct ContainsProgram<'a, C: Coord, H: QueryHandler> {
-    snap: Snapshot<'a, C>,
-    queries: &'a [Rect<C, 2>],
+struct ContainsProgram<'a, C: Coord, H: QueryHandler, const D: usize> {
+    snap: Snapshot<'a, C, D>,
+    queries: &'a [Rect<C, D>],
     handler: &'a H,
 }
 
-impl<C: Coord, H: QueryHandler> RtProgram<C> for ContainsProgram<'_, C, H> {
+impl<C: Coord, H: QueryHandler, const D: usize> RtProgram<C> for ContainsProgram<'_, C, H, D> {
     type Payload = u32;
 
     #[inline]
@@ -44,13 +39,13 @@ impl<C: Coord, H: QueryHandler> RtProgram<C> for ContainsProgram<'_, C, H> {
 }
 
 /// Runs the Range-Contains query over the index snapshot.
-pub(crate) fn run<C: Coord, H: QueryHandler>(
-    snap: Snapshot<'_, C>,
-    queries: &[Rect<C, 2>],
+pub(crate) fn run<C: Coord, H: QueryHandler, const D: usize>(
+    snap: Snapshot<'_, C, D>,
+    queries: &[Rect<C, D>],
     handler: &H,
 ) -> QueryReport {
     let wall_start = Instant::now();
-    let span = obs::span!("query.contains");
+    let span = obs::span!(dim_name::<D>("query.contains", "query3.contains"));
     let results = obs::Counter::standalone();
     let counted = super::CountResults {
         inner: handler,
@@ -61,38 +56,24 @@ pub(crate) fn run<C: Coord, H: QueryHandler>(
         queries,
         handler: &counted,
     };
-    let keys = super::probe_keys(&snap.ias.bounds(), queries.len(), |i| {
+    let keys = super::probe_keys(&snap.trace_bounds(), queries.len(), |i| {
         let s = &queries[i];
-        is_valid_query(s).then(|| s.center().lift(C::ZERO))
+        is_valid_rect(s).then(|| place_point(&s.center()))
     });
     let launch = snap.device.launch_by_key::<C, _>(&keys, |i, session| {
         let s = &queries[i];
-        if !is_valid_query(s) {
+        if !is_valid_rect(s) {
             return;
         }
-        let ray = Ray::point_probe(s.center()).lift();
-        session.trace(snap.ias, &program, &ray, &mut (i as u32));
+        let ray = Ray::point_probe(place_point(&s.center()));
+        snap.trace(session, &program, &ray, &mut (i as u32));
     });
     span.device(launch.device_time);
-    // Same single-launch deadline accounting as the point query.
-    crate::deadline::charge(launch.device_time);
-    let forward = Phase {
-        device: launch.device_time,
-        wall: launch.wall_time,
-    };
-    let report = QueryReport {
-        launch,
-        breakdown: crate::report::Breakdown {
-            forward,
-            ..Default::default()
-        },
-        chosen_k: 1,
-        estimated_selectivity: None,
-    };
+    let report = super::single_launch(launch);
     super::record_batch_trace(
-        "range_contains",
+        dim_name::<D>("range_contains", "contains3"),
         queries.len() as u64,
-        queries.iter().filter(|s| is_valid_query(s)).count() as u64,
+        queries.iter().filter(|s| is_valid_rect(s)).count() as u64,
         snap.live as u64,
         &report,
         results.value(),

@@ -25,7 +25,7 @@ use crate::config::DedupStrategy;
 use crate::deadline;
 use crate::error::IndexError;
 use crate::handlers::QueryHandler;
-use crate::index::Snapshot;
+use crate::index::{is_valid_rect, Snapshot};
 use crate::multicast::{
     choose_k, cost_sweep, estimate_selectivity_ids, multicast_cost_parts, MulticastLayout,
     MulticastMode,
@@ -35,7 +35,7 @@ use crate::report::{Phase, QueryReport};
 
 /// Forward pass: rays are query diagonals, primitives are the index.
 struct ForwardProgram<'a, C: Coord, H: QueryHandler> {
-    snap: Snapshot<'a, C>,
+    snap: Snapshot<'a, C, 2>,
     queries: &'a [Rect<C, 2>],
     handler: &'a H,
     /// `true` for Algorithm 1's dedup rule; `false` emits every hit
@@ -72,7 +72,7 @@ impl<C: Coord, H: QueryHandler> RtProgram<C> for ForwardProgram<'_, C, H> {
 /// Backward pass: rays are index anti-diagonals (placed per sub-space),
 /// primitives are the multicast-placed query boxes.
 struct BackwardProgram<'a, C: Coord, H: QueryHandler> {
-    snap: Snapshot<'a, C>,
+    snap: Snapshot<'a, C, 2>,
     queries: &'a [Rect<C, 2>],
     /// Original query id per query-GAS primitive: invalid (non-finite or
     /// empty) queries are filtered out before the GAS build, so primitive
@@ -149,7 +149,7 @@ impl<H: QueryHandler> QueryHandler for HashDedupHandler<'_, H> {
 /// `rtcore.gas_build` rule hitting the Phase 2 query-side build);
 /// without either, the result is always `Ok`.
 pub(crate) fn run<C: Coord, H: QueryHandler>(
-    snap: Snapshot<'_, C>,
+    snap: Snapshot<'_, C, 2>,
     queries: &[Rect<C, 2>],
     handler: &H,
     forced_k: Option<usize>,
@@ -160,7 +160,7 @@ pub(crate) fn run<C: Coord, H: QueryHandler>(
 /// As [`run`], optionally filling `plan` with the cost model's full
 /// EXPLAIN decision trace (`RTSIndex::explain_intersects`).
 pub(crate) fn run_with_plan<C: Coord, H: QueryHandler>(
-    snap: Snapshot<'_, C>,
+    snap: Snapshot<'_, C, 2>,
     queries: &[Rect<C, 2>],
     handler: &H,
     forced_k: Option<usize>,
@@ -274,18 +274,9 @@ fn finish_batch(
     });
 }
 
-/// A query rectangle the engine can cast: finite coordinates and
-/// non-inverted extents. Everything else matches no rectangle and must
-/// stay out of the query-side GAS (a NaN coordinate used to trip the
-/// finite-input expectation in the Phase 2 build).
-#[inline]
-fn is_valid_query<C: Coord>(q: &Rect<C, 2>) -> bool {
-    q.min.is_finite() && q.max.is_finite() && !q.is_empty()
-}
-
 #[allow(clippy::too_many_arguments)]
 fn run_inner<C: Coord, H: QueryHandler>(
-    snap: Snapshot<'_, C>,
+    snap: Snapshot<'_, C, 2>,
     queries: &[Rect<C, 2>],
     handler: &H,
     forced_k: Option<usize>,
@@ -346,7 +337,7 @@ fn run_inner<C: Coord, H: QueryHandler>(
     let valid_ids: Vec<u32> = (0..queries.len() as u32)
         .filter(|&i| {
             let q = &queries[i as usize];
-            let valid = is_valid_query(q);
+            let valid = is_valid_rect(q);
             if valid {
                 batch_box.expand(q);
             }
@@ -536,17 +527,17 @@ fn run_inner<C: Coord, H: QueryHandler>(
     // diagonals' midpoints. The backward launch below keeps index order —
     // it walks a per-batch query GAS small enough to stay in cache, reads
     // `rects[gid]` in id order, and measured slower when sorted.
-    let keys = super::probe_keys(&snap.ias.bounds(), queries.len(), |i| {
+    let keys = super::probe_keys(&snap.ias().bounds(), queries.len(), |i| {
         let s = &queries[i];
-        is_valid_query(s).then(|| s.center().lift(C::ZERO))
+        is_valid_rect(s).then(|| s.center().lift(C::ZERO))
     });
     let fwd = snap.device.launch_by_key::<C, _>(&keys, |i, session| {
         let s = &queries[i];
-        if !is_valid_query(s) {
+        if !is_valid_rect(s) {
             return;
         }
         let ray = Ray::from_segment(&diagonal(s)).lift();
-        session.trace(snap.ias, &forward_prog, &ray, &mut (i as u32));
+        session.trace(snap.ias(), &forward_prog, &ray, &mut (i as u32));
     });
     phase_span.device(fwd.device_time);
     drop(phase_span);
@@ -625,9 +616,10 @@ fn run_inner<C: Coord, H: QueryHandler>(
 /// The rectangles sit at z = 0 and their slots' z bounds are inflated
 /// around it, so `b` is lifted to the whole z range; lifted to z = 0,
 /// no slot would lie inside it and the walk would test every box.
-fn casters<C: Coord>(snap: Snapshot<'_, C>, b: &Rect<C, 2>) -> Vec<u32> {
+fn casters<C: Coord>(snap: Snapshot<'_, C, 2>, b: &Rect<C, 2>) -> Vec<u32> {
     let mut bits = vec![0u64; snap.rects.len().div_ceil(64)];
-    snap.ias.walk_box(&b.lift(C::MIN, C::MAX), |batch, prims| {
+    let ias = snap.ias();
+    ias.walk_box(&b.lift(C::MIN, C::MAX), |batch, prims| {
         let first = snap.batch_offsets[batch as usize];
         for &p in prims {
             let gid = (first + p) as usize;

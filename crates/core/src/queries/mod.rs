@@ -7,9 +7,10 @@ pub(crate) mod point;
 use std::time::Instant;
 
 use geom::{Coord, Point, Rect};
+use rtcore::LaunchReport;
 
 use crate::handlers::QueryHandler;
-use crate::report::QueryReport;
+use crate::report::{Breakdown, Phase, QueryReport};
 
 /// Launch keys for [`rtcore::Device::launch_by_key`]: the Morton code of
 /// each ray's probe point within `frame`, the world bounds of what the
@@ -26,6 +27,27 @@ pub(crate) fn probe_keys<C: Coord>(
     (0..n)
         .map(|i| probe(i).map_or(u64::MAX, |p| geom::morton::morton_of_point_3d(&p, frame)))
         .collect()
+}
+
+/// The report of a query that is one launch (point, Range-Contains and
+/// the 3-D centre-probe pass). The launch cannot be aborted mid-flight,
+/// but its modeled cost still depletes any enclosing deadline scope, so
+/// a following batch fails fast.
+pub(crate) fn single_launch(launch: LaunchReport) -> QueryReport {
+    crate::deadline::charge(launch.device_time);
+    let forward = Phase {
+        device: launch.device_time,
+        wall: launch.wall_time,
+    };
+    QueryReport {
+        launch,
+        breakdown: Breakdown {
+            forward,
+            ..Default::default()
+        },
+        chosen_k: 1,
+        estimated_selectivity: None,
+    }
 }
 
 /// Counts pairs delivered to the caller's handler without changing

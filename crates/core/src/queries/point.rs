@@ -1,7 +1,8 @@
 //! Point query (§3.1): simulate each query point with a short ray
 //! (`t_max = FLT_MIN`); Case-2 ray–AABB hits indicate containment, Case-1
 //! false positives are filtered in the IS shader by evaluating the
-//! `Contains` predicate on the original coordinates.
+//! `Contains` predicate on the original coordinates. The same code serves
+//! both dimensions.
 
 use std::time::Instant;
 
@@ -9,17 +10,17 @@ use geom::{Coord, Point, Ray};
 use rtcore::{HitContext, IsResult, RtProgram};
 
 use crate::handlers::QueryHandler;
-use crate::index::Snapshot;
-use crate::report::{Phase, QueryReport};
+use crate::index::{dim_name, place_point, Snapshot};
+use crate::report::QueryReport;
 
 /// The IS-shader program for point queries.
-struct PointProgram<'a, C: Coord, H: QueryHandler> {
-    snap: Snapshot<'a, C>,
-    points: &'a [Point<C, 2>],
+struct PointProgram<'a, C: Coord, H: QueryHandler, const D: usize> {
+    snap: Snapshot<'a, C, D>,
+    points: &'a [Point<C, D>],
     handler: &'a H,
 }
 
-impl<C: Coord, H: QueryHandler> RtProgram<C> for PointProgram<'_, C, H> {
+impl<C: Coord, H: QueryHandler, const D: usize> RtProgram<C> for PointProgram<'_, C, H, D> {
     /// Payload register 0: the query (point) id, as in Algorithm 1.
     type Payload = u32;
 
@@ -41,13 +42,13 @@ impl<C: Coord, H: QueryHandler> RtProgram<C> for PointProgram<'_, C, H> {
 }
 
 /// Runs the point query over the index snapshot.
-pub(crate) fn run<C: Coord, H: QueryHandler>(
-    snap: Snapshot<'_, C>,
-    points: &[Point<C, 2>],
+pub(crate) fn run<C: Coord, H: QueryHandler, const D: usize>(
+    snap: Snapshot<'_, C, D>,
+    points: &[Point<C, D>],
     handler: &H,
 ) -> QueryReport {
     let wall_start = Instant::now();
-    let span = obs::span!("query.point");
+    let span = obs::span!(dim_name::<D>("query.point", "query3.point"));
     let results = obs::Counter::standalone();
     let counted = super::CountResults {
         inner: handler,
@@ -58,38 +59,22 @@ pub(crate) fn run<C: Coord, H: QueryHandler>(
         points,
         handler: &counted,
     };
-    let keys = super::probe_keys(&snap.ias.bounds(), points.len(), |i| {
+    let keys = super::probe_keys(&snap.trace_bounds(), points.len(), |i| {
         let p = points[i];
-        p.is_finite().then(|| p.lift(C::ZERO))
+        p.is_finite().then(|| place_point(&p))
     });
     let launch = snap.device.launch_by_key::<C, _>(&keys, |i, session| {
         let p = points[i];
         if !p.is_finite() {
             return; // NaN queries can never match; skip the cast.
         }
-        let ray = Ray::point_probe(p).lift();
-        session.trace(snap.ias, &program, &ray, &mut (i as u32));
+        let ray = Ray::point_probe(place_point(&p));
+        snap.trace(session, &program, &ray, &mut (i as u32));
     });
     span.device(launch.device_time);
-    // Single-launch query: it cannot be aborted mid-flight, but its
-    // modeled cost still depletes any enclosing deadline scope so a
-    // following batch fails fast.
-    crate::deadline::charge(launch.device_time);
-    let forward = Phase {
-        device: launch.device_time,
-        wall: launch.wall_time,
-    };
-    let report = QueryReport {
-        launch,
-        breakdown: crate::report::Breakdown {
-            forward,
-            ..Default::default()
-        },
-        chosen_k: 1,
-        estimated_selectivity: None,
-    };
+    let report = super::single_launch(launch);
     super::record_batch_trace(
-        "point",
+        dim_name::<D>("point", "point3"),
         points.len() as u64,
         points.iter().filter(|p| p.is_finite()).count() as u64,
         snap.live as u64,

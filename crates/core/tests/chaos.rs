@@ -10,7 +10,7 @@ use geom::{Point, Rect};
 use librts::maintenance::MaintenancePolicy;
 use librts::{
     admission, deadline, CollectingHandler, ConcurrentIndex, IndexError, IndexOptions, Predicate,
-    Priority, RTSIndex,
+    Priority, RTSIndex, RTSIndex3,
 };
 
 /// Serializes the tests in this binary: schedules, the serving mode,
@@ -144,6 +144,29 @@ fn deadline_depletes_across_batches_in_one_scope() {
             .unwrap_err();
         assert!(matches!(err, IndexError::DeadlineExceeded { .. }));
     });
+    // 3-D batches charge the scope too: after one, a 2-D batch that
+    // alone uses up the budget exactly no longer fits.
+    let boxes: Vec<Rect<f32, 3>> = grid(128).iter().map(|r| r.lift(0.0, 1.0)).collect();
+    let index3 = RTSIndex3::build(&boxes, IndexOptions::default()).unwrap();
+    let box3 = [Rect::xyzxyz(0.5, 0.5, 0.25, 1.0, 1.0, 0.75)];
+    for kind in ["point", "contains", "intersects"] {
+        deadline::with_deadline(Duration::from_nanos(one_batch), || {
+            let h = CollectingHandler::new();
+            let report = match kind {
+                "point" => index3.point_query(&[Point::xyz(0.5, 0.5, 0.5)], &h),
+                "contains" => index3.contains_query(&box3, &h),
+                _ => index3.intersects_query(&box3, &h),
+            };
+            assert_eq!(report.launch.totals.rays, 1, "one 3-D {kind} ray");
+            let err = index
+                .try_range_query(Predicate::Intersects, &qs, &h)
+                .unwrap_err();
+            assert!(
+                matches!(err, IndexError::DeadlineExceeded { .. }),
+                "a 3-D {kind} batch must charge the scope"
+            );
+        });
+    }
 }
 
 #[test]
